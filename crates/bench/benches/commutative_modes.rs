@@ -5,7 +5,9 @@
 use std::time::Duration;
 
 use secmed_core::workload::WorkloadSpec;
-use secmed_core::{CommutativeConfig, CommutativeMode, Engine, RunOptions, ScenarioBuilder};
+use secmed_core::{
+    CommutativeConfig, CommutativeMode, Engine, RunOptions, ScenarioBuilder, TraceSink,
+};
 use secmed_obs::bench::{black_box, cli_filter, Bench, Suite};
 
 fn bench_modes(filter: &Option<String>) {
@@ -35,16 +37,11 @@ fn bench_modes(filter: &Option<String>) {
                         .seed("bench-comm-modes")
                         .paillier_bits(512)
                         .build();
-                    black_box(
-                        Engine::run(
-                            &mut sc,
-                            &RunOptions::commutative(CommutativeConfig { mode }),
-                        )
-                        .unwrap(),
-                    );
+                    let opts = RunOptions::commutative(CommutativeConfig { mode })
+                        .trace(TraceSink::Discard);
+                    black_box(Engine::run(&mut sc, &opts).unwrap());
                 },
             );
-            secmed_obs::trace::reset();
         }
     }
     suite.finish();

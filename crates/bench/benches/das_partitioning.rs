@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use secmed_core::workload::WorkloadSpec;
-use secmed_core::{DasConfig, Engine, RunOptions, ScenarioBuilder};
+use secmed_core::{DasConfig, Engine, RunOptions, ScenarioBuilder, TraceSink};
 use secmed_das::PartitionScheme;
 use secmed_obs::bench::{black_box, cli_filter, Bench, Suite};
 
@@ -39,18 +39,13 @@ fn bench_partition_sweep(filter: &Option<String>) {
                 .seed("bench-das")
                 .paillier_bits(512)
                 .build();
-            black_box(
-                Engine::run(
-                    &mut sc,
-                    &RunOptions::das(DasConfig {
-                        scheme,
-                        ..Default::default()
-                    }),
-                )
-                .unwrap(),
-            );
+            let opts = RunOptions::das(DasConfig {
+                scheme,
+                ..Default::default()
+            })
+            .trace(TraceSink::Discard);
+            black_box(Engine::run(&mut sc, &opts).unwrap());
         });
-        secmed_obs::trace::reset();
     };
     for k in [1usize, 4, 16] {
         run_scheme(

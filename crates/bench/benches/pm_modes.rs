@@ -7,7 +7,9 @@ use std::time::Duration;
 
 use relalg::{Relation, Schema, Tuple, Type, Value};
 use secmed_core::workload::Workload;
-use secmed_core::{Engine, PmConfig, PmEval, PmPayloadMode, RunOptions, ScenarioBuilder};
+use secmed_core::{
+    Engine, PmConfig, PmEval, PmPayloadMode, RunOptions, ScenarioBuilder, TraceSink,
+};
 use secmed_obs::bench::{black_box, cli_filter, Bench, Suite};
 
 /// One small tuple per join value so the inline mode always fits.
@@ -51,18 +53,13 @@ fn bench_payload_modes(filter: &Option<String>) {
                     .seed("bench-pm-modes")
                     .paillier_bits(512)
                     .build();
-                black_box(
-                    Engine::run(
-                        &mut sc,
-                        &RunOptions::pm(PmConfig {
-                            eval: PmEval::Horner,
-                            payload,
-                        }),
-                    )
-                    .unwrap(),
-                );
+                let opts = RunOptions::pm(PmConfig {
+                    eval: PmEval::Horner,
+                    payload,
+                })
+                .trace(TraceSink::Discard);
+                black_box(Engine::run(&mut sc, &opts).unwrap());
             });
-            secmed_obs::trace::reset();
         }
     }
     suite.finish();
@@ -81,18 +78,13 @@ fn bench_eval_modes(filter: &Option<String>) {
                 .seed("bench-pm-eval")
                 .paillier_bits(512)
                 .build();
-            black_box(
-                Engine::run(
-                    &mut sc,
-                    &RunOptions::pm(PmConfig {
-                        eval,
-                        payload: PmPayloadMode::SessionKeyTable,
-                    }),
-                )
-                .unwrap(),
-            );
+            let opts = RunOptions::pm(PmConfig {
+                eval,
+                payload: PmPayloadMode::SessionKeyTable,
+            })
+            .trace(TraceSink::Discard);
+            black_box(Engine::run(&mut sc, &opts).unwrap());
         });
-        secmed_obs::trace::reset();
     }
     suite.finish();
 }

@@ -8,6 +8,7 @@ use std::time::Duration;
 use secmed_core::workload::WorkloadSpec;
 use secmed_core::{
     CommutativeConfig, DasConfig, Engine, PmConfig, ProtocolKind, RunOptions, ScenarioBuilder,
+    TraceSink,
 };
 use secmed_obs::bench::{black_box, cli_filter, Bench, Suite};
 
@@ -46,12 +47,10 @@ fn bench_protocols(filter: &Option<String>) {
                         .seed("bench-e2e")
                         .paillier_bits(512)
                         .build();
-                    black_box(Engine::run(&mut sc, &RunOptions::new(kind)).unwrap());
+                    let opts = RunOptions::new(kind).trace(TraceSink::Discard);
+                    black_box(Engine::run(&mut sc, &opts).unwrap());
                 },
             );
-            // Each run appends trace spans to the process-global buffer;
-            // drain between measurements to keep memory flat.
-            secmed_obs::trace::reset();
         }
     }
     suite.finish();

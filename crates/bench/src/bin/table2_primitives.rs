@@ -9,6 +9,7 @@ use secmed_core::workload::WorkloadSpec;
 use secmed_core::{
     CommutativeConfig, DasConfig, Engine, PmConfig, ProtocolKind, RunOptions, ScenarioBuilder,
 };
+use secmed_crypto::metrics::Snapshot;
 use secmed_obs::bench::cli_threads;
 use secmed_obs::json::Json;
 use secmed_obs::metrics;
@@ -54,22 +55,16 @@ fn main() {
             .seed("table2")
             .paillier_bits(768)
             .build();
-        let before = metrics::snapshot();
+        let before = Snapshot::capture();
         let report = Engine::run(&mut sc, &RunOptions::new(kind).threads(threads))
             .expect("protocol run succeeds");
-        // The obs registry mirrors every census bump as a `crypto.<op>`
-        // counter; its delta over the run must agree with the report's
-        // census exactly — two recorders, one truth.
-        let delta = metrics::snapshot().since(&before);
-        for (op, count) in &report.primitives {
-            let mirrored = delta.counter(&secmed_crypto::metrics::registry_name(*op));
-            assert_eq!(
-                mirrored,
-                *count,
-                "{name}: registry mirror disagrees with census for {}",
-                op.name()
-            );
-        }
+        // A closing run adds its census to the `crypto.<op>` registry
+        // counters once, and nothing else counted meanwhile.
+        assert_eq!(
+            Snapshot::capture().since(&before),
+            report.primitives,
+            "{name}: the registry did not grow by the run's census"
+        );
         println!("== {name}");
         println!("   paper:    {paper}");
         print!("   measured:");

@@ -18,7 +18,6 @@
 //! order, so neither ciphertexts nor message ordering depend on
 //! scheduling.
 
-use secmed_crypto::metrics::Snapshot;
 pub use secmed_pool::ExecPolicy;
 use secmed_pool::Pool;
 
@@ -157,8 +156,8 @@ pub enum TraceSink {
     /// (via `secmed_obs::trace::take_since` / `export_jsonl`).
     #[default]
     Keep,
-    /// Spans emitted by this run are dropped from the buffer on return —
-    /// for benchmark loops that would otherwise grow it unboundedly.
+    /// The run records no spans or events, on its own thread or on its
+    /// pool workers — for benchmark loops and tests that never read them.
     Discard,
 }
 
@@ -252,24 +251,19 @@ impl Engine {
     /// recorder, a loopback [`SocketFabric`](crate::SocketFabric) session,
     /// or any other implementation.  The fabric is consumed — its recorder
     /// (with the complete log) comes back inside the report.
+    ///
+    /// The run counts into its own run scope (`secmed_obs::run`), which
+    /// the pool hands to its workers, so the report's census is exactly
+    /// this run's even while other runs share the process.
     pub fn run_on<F: Fabric>(
-        fabric: F,
-        scenario: &mut Scenario,
-        opts: &RunOptions,
-    ) -> Result<RunReport, MedError> {
-        let mark = secmed_obs::trace::checkpoint();
-        let out = Self::run_traced(fabric, scenario, opts);
-        if opts.trace == TraceSink::Discard {
-            drop(secmed_obs::trace::take_since(mark));
-        }
-        out
-    }
-
-    fn run_traced<F: Fabric>(
         mut fabric: F,
         sc: &mut Scenario,
         opts: &RunOptions,
     ) -> Result<RunReport, MedError> {
+        let run = secmed_obs::run::open(
+            opts.trace == TraceSink::Keep,
+            secmed_crypto::metrics::registry_counters(),
+        );
         let kind = opts.protocol;
         let pool = Pool::new(opts.exec);
         secmed_obs::metrics::incr(
@@ -282,7 +276,6 @@ impl Engine {
         let _run_timer = secmed_obs::metrics::start_timer("engine.run_ns");
         let mut root = secmed_obs::span("run");
         root.field("protocol", kind.key());
-        let before = Snapshot::capture();
         fabric.set_policy(opts.delivery);
         if let Some(plan) = &opts.faults {
             fabric.install_faults(plan.clone());
@@ -324,9 +317,9 @@ impl Engine {
         client_view.bytes_received = report.transport.bytes_received_by(&PartyId::Client);
         report.mediator_view = mediator_view;
         report.client_view = client_view;
-        report.primitives = Snapshot::capture().since(&before);
+        report.primitives = secmed_crypto::metrics::census(run.census());
         // Per-run deterministic metrics: the fabric totals from this run's
-        // own transport log plus this run's census delta.  Both are pure
+        // own transport log plus this run's census.  Both are pure
         // functions of the scenario seed (never of wall clocks, schedules,
         // or the process-global registry, which concurrent runs share), so
         // the determinism fingerprint covers them at every thread count.

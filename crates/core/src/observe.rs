@@ -19,7 +19,7 @@ use crate::workload::WorkloadSpec;
 /// Builds the unified report for one finished run.
 ///
 /// `records` are the trace records of the run (collect them with
-/// `secmed_obs::trace::checkpoint()` before `Scenario::run` and
+/// `secmed_obs::trace::checkpoint()` before `Engine::run` and
 /// `take_since` after); phase rows keep only spans prefixed with the
 /// protocol key, so records from other instrumented code are harmless.
 pub fn unified_report(

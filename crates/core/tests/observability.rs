@@ -2,12 +2,15 @@
 //! recorders it is derived from: transport counters, the primitive census,
 //! and — transitively — the §6 closed-form cost model.  If the report
 //! aggregation ever drops or double-counts an edge, op, or phase, these
-//! checks fail.
+//! checks fail — also while `Discard` runs execute on other threads.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use secmed_core::cost::{divergence, observed, predict, shape_of};
 use secmed_core::observe::{unified_report, workload_pairs};
 use secmed_core::workload::WorkloadSpec;
-use secmed_core::{Engine, ProtocolKind, RunOptions, ScenarioBuilder};
+use secmed_core::{Engine, ProtocolKind, RunOptions, ScenarioBuilder, TraceSink};
 use secmed_obs::trace;
 
 fn spec(seed: &str) -> WorkloadSpec {
@@ -23,6 +26,44 @@ fn spec(seed: &str) -> WorkloadSpec {
     }
 }
 
+/// Runs `keep` while two other threads execute `Discard` runs of `kind`
+/// back to back: all three start together, and the other two go on
+/// until `keep` has returned.
+fn amid_discard_runs<T>(kind: ProtocolKind, keep: impl FnOnce() -> T) -> T {
+    let start = Barrier::new(3);
+    let done = AtomicBool::new(false);
+    let noise = || {
+        let w = WorkloadSpec {
+            left_rows: 6,
+            right_rows: 6,
+            left_domain: 3,
+            right_domain: 3,
+            shared_values: 2,
+            ..spec("obs-noise")
+        }
+        .generate();
+        let mut sc = ScenarioBuilder::new(&w).seed("obs-noise").build();
+        let opts = RunOptions::new(kind).trace(TraceSink::Discard);
+        start.wait();
+        loop {
+            Engine::run(&mut sc, &opts).unwrap();
+            if done.load(Ordering::Relaxed) {
+                break;
+            }
+        }
+    };
+    secmed_pool::scope(|s| {
+        let workers = [s.spawn(noise), s.spawn(noise)];
+        start.wait();
+        let out = keep();
+        done.store(true, Ordering::Relaxed);
+        for w in workers {
+            w.join().expect("discard runs");
+        }
+        out
+    })
+}
+
 fn check(kind: ProtocolKind, seed: &str) {
     let s = spec(seed);
     let w = s.generate();
@@ -30,9 +71,11 @@ fn check(kind: ProtocolKind, seed: &str) {
         .seed(seed)
         .paillier_bits(512)
         .build();
-    let mark = trace::checkpoint();
-    let report = Engine::run(&mut sc, &RunOptions::new(kind)).unwrap();
-    let records = trace::take_since(mark);
+    let (report, records) = amid_discard_runs(kind, || {
+        let mark = trace::checkpoint();
+        let report = Engine::run(&mut sc, &RunOptions::new(kind)).unwrap();
+        (report, trace::take_since(mark))
+    });
     let unified = unified_report(kind, &report, &records, workload_pairs(&s));
     let key = kind.key();
 
@@ -174,8 +217,8 @@ fn check(kind: ProtocolKind, seed: &str) {
     }
 }
 
-// One test function: the primitive counters and the trace buffer are
-// process-global, so runs must not interleave with each other.
+// One test function: kept traces share the global buffer, so runs that
+// keep theirs must not interleave with each other.
 #[test]
 fn unified_report_matches_recorders_for_every_protocol() {
     check(ProtocolKind::Das(Default::default()), "obs-das");

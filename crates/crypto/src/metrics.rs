@@ -1,18 +1,20 @@
-//! Global cryptographic-operation counters.
+//! The cryptographic-operation census.
 //!
 //! The paper's Table 2 lists which cryptographic primitives each protocol
-//! applies.  Rather than asserting that table by hand, the bench harness
-//! resets these counters, runs a protocol, and reports the primitives that
-//! were *actually* invoked.  Counters are process-global atomics, so they
-//! also work across the in-process parties of a protocol run.
+//! applies.  Rather than asserting that table by hand, every primitive
+//! calls [`count`], and each protocol run reports the primitives it
+//! *actually* invoked.
 //!
-//! Every increment is mirrored into the `secmed_obs::metrics` registry as
-//! a deterministic-class counter named `crypto.<op-name>`, so the unified
-//! metrics exports carry the primitive census without a second
-//! instrumentation pass — and `table2_primitives` cross-checks that the
-//! two views never drift.
+//! A bump lands in the run scope installed on the calling thread
+//! (`secmed_obs::run`): the engine opens one per run and the pool carries
+//! it into its workers, so a run's census holds exactly its own
+//! operations, whatever else the process runs meanwhile.  Outside any run
+//! a bump goes straight to the deterministic registry counter
+//! `crypto.<op-name>`, and a run adds its census to those counters once,
+//! when it closes.  The registry is therefore the one process-wide
+//! aggregate, and [`Snapshot`] reads it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use secmed_obs::metrics::{counter, Class, Counter};
 use std::sync::OnceLock;
 
 /// A countable cryptographic operation.
@@ -62,7 +64,7 @@ pub enum Op {
 
 const OP_COUNT: usize = 19;
 
-static COUNTERS: [AtomicU64; OP_COUNT] = [const { AtomicU64::new(0) }; OP_COUNT];
+const _: () = assert!(OP_COUNT <= secmed_obs::run::SLOTS);
 
 const ALL_OPS: [Op; OP_COUNT] = [
     Op::Sha256Block,
@@ -113,75 +115,60 @@ impl Op {
     }
 }
 
-/// The registry name the census mirror publishes `op` under.
+/// The registry name the census publishes `op` under.
 pub fn registry_name(op: Op) -> String {
     format!("crypto.{}", op.name())
 }
 
-/// Handles into the obs registry, one per op, interned on first use so
-/// the hot path is a single extra relaxed atomic add.
-fn obs_mirror() -> &'static [secmed_obs::metrics::Counter; OP_COUNT] {
-    static MIRROR: OnceLock<[secmed_obs::metrics::Counter; OP_COUNT]> = OnceLock::new();
-    MIRROR.get_or_init(|| {
-        std::array::from_fn(|i| {
-            secmed_obs::metrics::counter(
-                secmed_obs::metrics::Class::Deterministic,
-                &registry_name(ALL_OPS[i]),
-            )
-        })
-    })
+/// The `crypto.<op>` registry counters in `Op` order, interned on first
+/// use: a run opened with these as its sinks publishes its census there.
+pub fn registry_counters() -> &'static [Counter; OP_COUNT] {
+    static REGISTRY: OnceLock<[Counter; OP_COUNT]> = OnceLock::new();
+    REGISTRY.get_or_init(|| ALL_OPS.map(|op| counter(Class::Deterministic, &registry_name(op))))
 }
 
-/// Increments the counter for `op` (and its registry mirror).
+/// Counts one `op`: into the run installed on this thread, or straight
+/// into the registry outside any run.
 #[inline]
 pub fn count(op: Op) {
-    COUNTERS[op as usize].fetch_add(1, Ordering::Relaxed);
-    obs_mirror()[op as usize].incr();
-}
-
-/// Current value of the counter for `op`.
-pub fn get(op: Op) -> u64 {
-    COUNTERS[op as usize].load(Ordering::Relaxed)
-}
-
-/// Resets every counter to zero.
-pub fn reset() {
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
+    if !secmed_obs::run::bump(op as usize) {
+        registry_counters()[op as usize].incr();
     }
 }
 
-/// A point-in-time copy of every counter.
+/// Reads per-op counts in `Op` order, such as a run scope's slots, as a
+/// census: each op with a nonzero count.
+pub fn census(counts: impl IntoIterator<Item = u64>) -> Vec<(Op, u64)> {
+    ALL_OPS
+        .into_iter()
+        .zip(counts)
+        .filter(|&(_, n)| n > 0)
+        .collect()
+}
+
+/// A point-in-time copy of the process-wide totals: every op counted
+/// outside a run plus the census of every finished run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     counts: [u64; OP_COUNT],
 }
 
 impl Snapshot {
-    /// Captures the current counter values.
+    /// Captures the current totals.
     pub fn capture() -> Self {
-        let mut counts = [0u64; OP_COUNT];
-        for (slot, c) in counts.iter_mut().zip(COUNTERS.iter()) {
-            *slot = c.load(Ordering::Relaxed);
+        Snapshot {
+            counts: registry_counters().map(|c| c.get()),
         }
-        Snapshot { counts }
     }
 
     /// Per-op difference `self - earlier` (saturating).
     pub fn since(&self, earlier: &Snapshot) -> Vec<(Op, u64)> {
-        ALL_OPS
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &op)| {
-                let d = self.counts[i].saturating_sub(earlier.counts[i]);
-                (d > 0).then_some((op, d))
-            })
-            .collect()
-    }
-
-    /// Count recorded for one op.
-    pub fn get(&self, op: Op) -> u64 {
-        self.counts[op as usize]
+        census(
+            self.counts
+                .iter()
+                .zip(earlier.counts)
+                .map(|(now, then)| now.saturating_sub(then)),
+        )
     }
 }
 
@@ -189,22 +176,32 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    // Note: counters are process-global, so these tests use `since` deltas
-    // rather than absolute values to stay robust under parallel testing.
-
     #[test]
-    fn count_and_diff() {
-        let before = Snapshot::capture();
+    fn a_run_counts_exactly_its_own_ops() {
+        let run = secmed_obs::run::open(false, registry_counters());
         count(Op::PaillierEncrypt);
         count(Op::PaillierEncrypt);
         count(Op::Hmac);
-        let after = Snapshot::capture();
-        let delta = after.since(&before);
-        assert!(
-            delta.contains(&(Op::PaillierEncrypt, 2))
-                || after.get(Op::PaillierEncrypt) >= before.get(Op::PaillierEncrypt) + 2
+        assert_eq!(
+            census(run.census()),
+            [(Op::Hmac, 1), (Op::PaillierEncrypt, 2)]
         );
-        assert!(after.get(Op::Hmac) > before.get(Op::Hmac));
+    }
+
+    #[test]
+    fn a_bump_outside_any_run_reaches_the_registry() {
+        let before = Snapshot::capture();
+        count(Op::SchnorrSign);
+        count(Op::SchnorrSign);
+        count(Op::SchnorrSign);
+        let signs = Snapshot::capture()
+            .since(&before)
+            .into_iter()
+            .find(|&(op, _)| op == Op::SchnorrSign)
+            .map_or(0, |(_, n)| n);
+        // Other tests in this binary count concurrently, so only this
+        // test's own bumps are a sure lower bound.
+        assert!(signs >= 3, "{signs}");
     }
 
     #[test]
@@ -219,26 +216,5 @@ mod tests {
     fn snapshot_since_is_empty_without_activity() {
         let s = Snapshot::capture();
         assert!(s.since(&s).is_empty());
-    }
-
-    #[test]
-    fn census_mirrors_into_obs_registry() {
-        // Parallel tests also count ops, so compare the two views' deltas
-        // of the same op as lower bounds anchored on this test's adds.
-        let census_before = Snapshot::capture();
-        let obs_before = secmed_obs::metrics::snapshot();
-        count(Op::SchnorrSign);
-        count(Op::SchnorrSign);
-        count(Op::SchnorrSign);
-        let census_delta = Snapshot::capture().since(&census_before);
-        let obs_delta = secmed_obs::metrics::snapshot().since(&obs_before);
-        let census_signs = census_delta
-            .iter()
-            .find(|(op, _)| *op == Op::SchnorrSign)
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        let obs_signs = obs_delta.counter(&registry_name(Op::SchnorrSign));
-        assert!(census_signs >= 3);
-        assert!(obs_signs >= 3, "mirror must follow the census");
     }
 }

@@ -7,6 +7,8 @@
 //!
 //! * [`trace`] — structured hierarchical spans and events over a
 //!   process-global, thread-safe buffer, exported as JSON-lines,
+//! * [`run`] — the run scope: one run's census slots and trace switch,
+//!   inherited by its pool workers and published once when it closes,
 //! * [`report`] — the unified [`report::RunReport`] joining phase timings,
 //!   transport traffic, the primitive census, and the leakage audit of one
 //!   protocol run, rendered as JSON or an aligned table,
@@ -28,6 +30,7 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod report;
+pub mod run;
 pub mod trace;
 pub mod trajectory;
 

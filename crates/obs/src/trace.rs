@@ -6,9 +6,9 @@
 //! parties produce correctly-parented records.  Timestamps are monotonic
 //! nanoseconds since the first trace call of the process.
 //!
-//! The buffer is append-only between [`checkpoint`]/[`take_since`] pairs:
-//! a protocol run records a checkpoint, executes, then collects exactly its
-//! own records — even if other instrumented code ran before it.
+//! Inside a run that discards its trace ([`crate::run`]) spans and events
+//! record nothing, on any of the run's threads.  A caller slices out the
+//! records appended meanwhile with a [`checkpoint`]/[`take_since`] pair.
 //!
 //! Records export as JSON-lines via [`export_jsonl`]: one JSON object per
 //! record, suitable for `grep`, `jq`, or spreadsheet import.
@@ -182,8 +182,12 @@ fn thread_name() -> String {
 
 /// Opens a span.  The span closes (and its record is appended to the global
 /// buffer) when the returned guard drops.  Spans opened while this guard is
-/// live on the same thread become its children.
+/// live on the same thread become its children.  Inside a run that
+/// discards its trace the guard is inert.
 pub fn span(name: &str) -> SpanGuard {
+    if !crate::run::keeps_spans() {
+        return SpanGuard { record: None };
+    }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     let parent = current_parent();
     OPEN_STACK.with(|s| s.borrow_mut().push(id));
@@ -213,6 +217,9 @@ where
     K: Into<String>,
     V: Into<FieldValue>,
 {
+    if !crate::run::keeps_spans() {
+        return;
+    }
     let record = Record {
         id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         parent: current_parent(),
@@ -478,6 +485,23 @@ mod tests {
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
+    }
+
+    #[test]
+    fn a_run_that_discards_its_trace_records_nothing() {
+        let _serial = serial();
+        let mark = checkpoint();
+        {
+            let _run = crate::run::open(false, &[]);
+            let _span = span("t8.discarded");
+            event("t8.discarded");
+        }
+        {
+            let _span = span("t8.kept");
+        }
+        let records = mine(take_since(mark), "t8.");
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].name, "t8.kept");
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //! The crate is std-only, `forbid(unsafe_code)`, and contains no clocks,
 //! sockets, or channels — the repo lint enforces that scoped threads stay
 //! in here and wall-clock reads stay in `crates/obs`/`crates/bench`.
-//! Every fan-out reports deterministic-class metrics (`pool.calls`,
+//! Workers run in the caller's run scope (`secmed_obs::run`).  Every
+//! fan-out reports deterministic-class metrics (`pool.calls`,
 //! `pool.items`, `pool.chunks`, `pool.chunk_items`) to the
 //! `secmed_obs::metrics` registry; the counts depend only on workload
 //! size and thread budget, never on scheduling.
@@ -180,12 +181,13 @@ impl Pool {
         if ranges.len() <= 1 {
             return run_range(0..items.len());
         }
+        let run = secmed_obs::run::current();
         let per_chunk: Vec<Result<Vec<U>, E>> = std::thread::scope(|scope| {
             let handles: Vec<_> = ranges[1..]
                 .iter()
                 .map(|r| {
-                    let r = r.clone();
-                    scope.spawn(|| run_range(r))
+                    let (r, run) = (r.clone(), run.clone());
+                    scope.spawn(|| secmed_obs::run::within(run, || run_range(r)))
                 })
                 .collect();
             // The calling thread works the first chunk while the scoped
@@ -227,12 +229,13 @@ impl Pool {
             return f(0, items);
         }
         let f = &f;
+        let run = secmed_obs::run::current();
         let per_chunk: Vec<Vec<U>> = std::thread::scope(|scope| {
             let handles: Vec<_> = ranges[1..]
                 .iter()
                 .map(|r| {
-                    let r = r.clone();
-                    scope.spawn(move || f(r.start, &items[r]))
+                    let (r, run) = (r.clone(), run.clone());
+                    scope.spawn(move || secmed_obs::run::within(run, || f(r.start, &items[r])))
                 })
                 .collect();
             let first = ranges[0].clone();
@@ -423,6 +426,18 @@ mod tests {
         let h = delta.histogram("pool.chunk_items").expect("chunk sizes");
         assert!(h.count() >= 8);
         assert!(h.max() >= 10, "40 items over 4 workers: 10 per chunk");
+    }
+
+    #[test]
+    fn workers_count_into_the_callers_run() {
+        use secmed_obs::run;
+        let items: Vec<u64> = (0..40).collect();
+        let pool = Pool::with_threads(4);
+        let caller = run::open(true, &[]);
+        assert!(pool.par_map(&items, |_, _| run::bump(0)).iter().all(|&b| b));
+        let bumped = pool.par_chunks(&items, |_, c| c.iter().map(|_| run::bump(1)).collect());
+        assert!(bumped.iter().all(|&b| b));
+        assert_eq!(caller.census()[..2], [40, 40]);
     }
 
     #[test]

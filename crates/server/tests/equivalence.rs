@@ -4,10 +4,11 @@
 //!
 //! Byte-identical here is the chaos fingerprint: result relation, typed
 //! outcome, the complete transport log (ordering, labels, payload bytes),
-//! and both Table 1 leakage views.  The in-process run threads the same
-//! session id onto its frames ([`Transport::with_session`]) so the two
-//! logs are comparable bit for bit; everything else about the socket run
-//! — the handshake, the relay echo, the goodbye — must leave no trace.
+//! both Table 1 leakage views, and the Table 2 census.  The in-process
+//! run threads the same session id onto its frames
+//! ([`Transport::with_session`]) so the two logs are comparable bit for
+//! bit; everything else about the socket run — the handshake, the relay
+//! echo, the goodbye — must leave no trace.
 
 use secmed_core::{Engine, RunOptions, ScenarioBuilder, SocketFabric, TraceSink, Transport};
 use secmed_server::Server;

@@ -5,11 +5,11 @@
 //! The headline invariant mirrors PR 8's equivalence oracle: a session
 //! whose connections are killed by *server-side* chaos, resumed by the
 //! client fabric, must produce a [`RunReport`] byte-identical (chaos
-//! fingerprint: result, outcome, transport log, both leakage views) to
-//! the same scenario run against a faithful server — for every protocol,
-//! at 1/2/8 threads.  Resume replays exactly the echoes the client
-//! missed and sequence numbers never appear in frame bytes, so the
-//! recorded log cannot tell the difference.
+//! fingerprint: result, outcome, transport log, both leakage views, the
+//! Table 2 census) to the same scenario run against a faithful server —
+//! for every protocol, at 1/2/8 threads.  Resume replays exactly the
+//! echoes the client missed and sequence numbers never appear in frame
+//! bytes, so the recorded log cannot tell the difference.
 
 use std::sync::Arc;
 

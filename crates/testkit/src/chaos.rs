@@ -10,10 +10,9 @@
 //! [`SocketFabric`](secmed_core::SocketFabric) session in the server's —
 //! and the identical sweep must pass over both.
 //!
-//! Fingerprints deliberately exclude `RunReport::primitives`: the
-//! primitive census is a process-global counter bank, so concurrent test
-//! threads pollute each other's deltas.  Everything else — result,
-//! outcome, transport log, leakage views — is compared byte for byte.
+//! Fingerprints carry the census as its Table 2 ops only: a resumed
+//! socket run draws reconnect jitter from an `HmacDrbg`, so its SHA-256
+//! and HMAC counts legitimately exceed an undisturbed run's.
 
 use secmed_core::workload::{Workload, WorkloadSpec};
 use secmed_core::{
@@ -134,11 +133,12 @@ pub fn run_chaos_on<Fab: Fabric>(
         .unwrap_or_else(|e| panic!("{} seed {seed}: chaos run returned Err: {e}", kind.name()))
 }
 
-/// Everything a run reports except the process-global primitive census
-/// (see the module docs for why it is excluded).
+/// Everything a run reports, its census as the Table 2 ops (see the
+/// module docs).
 pub fn fingerprint(r: &RunReport) -> String {
+    let census = secmed_core::cost::observed(&r.primitives);
     format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}",
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{census:?}",
         r.result, r.outcome, r.transport, r.mediator_view, r.client_view
     )
 }
@@ -269,9 +269,9 @@ where
 }
 
 /// The acceptance boundary for the whole fault layer: installing a plan
-/// with every rate at zero changes nothing — report fingerprints
-/// (result, outcome, transport log, views) are byte-identical to a run
-/// with no plan installed at all.  Parameterized over the fabric like
+/// with every rate at zero changes nothing — report fingerprints (result,
+/// outcome, transport log, views, Table 2 census) are byte-identical to a
+/// run with no plan installed at all.  Parameterized over the fabric like
 /// [`sweep_on`]; the factory is called once per run with a per-kind
 /// index, and both runs of a pair receive the *same* index — fabrics
 /// that thread an identity (a session id) onto their frames must keep

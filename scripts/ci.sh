@@ -7,8 +7,13 @@ cargo build --release --offline
 cargo test -q --offline
 cargo fmt --check
 
+# The repository benchmark is its own workspace, so nothing above compiles
+# it; build it against this checkout's APIs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench-build
+
 # The engine's hard invariant, run by name so a filter change can never
-# silently drop it: identical RunReports at 1, 2, and 8 worker threads.
+# silently drop it: identical RunReports at 1, 2, and 8 worker threads,
+# holding at default test parallelism (each run counts into its own scope).
 cargo test -q --offline -p secmed-core --test determinism
 
 # Wire-format stability, run by name for the same reason: the committed
