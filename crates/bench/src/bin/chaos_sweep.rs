@@ -6,66 +6,15 @@
 //! how the outcomes distribute across clean / recovered / degraded /
 //! aborted.  Everything is seeded, so the table reproduces exactly.
 
-use secmed_core::workload::{Workload, WorkloadSpec};
 use secmed_core::{
-    CommutativeConfig, DasConfig, DeliveryPolicy, Engine, FaultPlan, OnExhausted, Outage, PartyId,
-    PmConfig, ProtocolKind, RunOptions, RunOutcome, ScenarioBuilder, TraceSink,
+    CommutativeConfig, DasConfig, Engine, PmConfig, ProtocolKind, RunOptions, RunOutcome,
+    ScenarioBuilder, TraceSink,
 };
 use secmed_obs::metrics;
 use secmed_obs::trajectory::TrajectoryFile;
-use secmed_testkit::Gen;
-
-const SEEDS: u64 = 64;
-
-fn workload() -> Workload {
-    WorkloadSpec {
-        left_rows: 6,
-        right_rows: 6,
-        left_domain: 3,
-        right_domain: 3,
-        shared_values: 2,
-        payload_attrs: 1,
-        seed: "chaos".to_string(),
-        ..Default::default()
-    }
-    .generate()
-}
-
-/// The same plan generator the chaos suite uses (`chaos-plan` label), so
-/// the bench measures exactly the plans the tests certify.
-fn plan_for(seed: u64) -> (FaultPlan, DeliveryPolicy) {
-    let mut g = Gen::for_case("chaos-plan", seed);
-    let mut plan = FaultPlan::none(format!("chaos/{seed}"));
-    plan.drop_per_mille = g.per_mille(120);
-    plan.corrupt_per_mille = g.per_mille(120);
-    plan.truncate_per_mille = g.per_mille(100);
-    plan.duplicate_per_mille = g.per_mille(100);
-    plan.delay_per_mille = g.per_mille(100);
-    if g.u64_below(4) == 0 {
-        let party = g
-            .choose(&[
-                PartyId::Mediator,
-                PartyId::Client,
-                PartyId::source("r1"),
-                PartyId::source("r2"),
-            ])
-            .clone();
-        plan.outages.push(Outage {
-            party,
-            from_step: g.u64_below(12),
-            steps: 1 + g.u64_below(3),
-        });
-    }
-    let policy = DeliveryPolicy {
-        max_attempts: 2 + (seed % 3) as u32,
-        on_exhausted: if seed.is_multiple_of(2) {
-            OnExhausted::Abort
-        } else {
-            OnExhausted::Degrade
-        },
-    };
-    (plan, policy)
-}
+// The chaos suite's own workload, seeds and plan generator, so the sweep
+// measures exactly the plans the tests certify.
+use secmed_testkit::chaos::{plan_for, workload, SEEDS};
 
 #[derive(Default)]
 struct Tally {

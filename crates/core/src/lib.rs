@@ -33,17 +33,16 @@
 //!   (phase timings + traffic + primitive census + leakage in one record),
 //! * [`workload`] — synthetic relation generators standing in for the
 //!   paper's (unavailable) enterprise datasets,
-//! * [`hierarchy`] — mediator-as-datasource chaining (the future-work
-//!   item of Section 8),
 //! * [`plan`] — typed query plans (leakage budgets, per-node protocol
 //!   choice) and [`Engine::run_plan`], which executes a multi-way join
-//!   plan over the mediator hierarchy.
+//!   plan over the mediator hierarchy: each intermediate result becomes a
+//!   datasource for the next mediation (the future-work item of
+//!   Section 8).
 
 pub mod audit;
 pub mod cost;
 pub mod credential;
 pub mod engine;
-pub mod hierarchy;
 pub mod observe;
 pub mod party;
 pub mod plan;

@@ -150,12 +150,6 @@ impl DataSource {
     pub fn rng(&mut self) -> &mut HmacDrbg {
         &mut self.rng
     }
-
-    /// Replaces the served relation (used by the hierarchy demo where a
-    /// mediator's output becomes a source's input).
-    pub fn replace_relation(&mut self, relation: Relation) {
-        self.relation = relation;
-    }
 }
 
 /// The (untrusted, semi-honest) mediator.

@@ -7,8 +7,8 @@
 //! executes a plan node by node: every join runs a full credential-checked
 //! mediation with the node's chosen protocol, and each intermediate result
 //! is installed as a derived datasource for its parent node (the Section 8
-//! mediator hierarchy, generalized from [`crate::hierarchy::chained_join`]
-//! to arbitrary left-deep trees with per-node protocol choice).
+//! mediator hierarchy, over arbitrary left-deep trees with per-node
+//! protocol choice; a chained join `(R1 ⨝ R2) ⨝ R3` is a two-node plan).
 //!
 //! The planning *algorithm* — join-order enumeration, statistics, cost
 //! scoring — lives in the `secmed-plan` crate; this module only defines
@@ -21,7 +21,6 @@ use relalg::Relation;
 use crate::cost::{divergence, predict, shape_of_join, Divergence, PredictedOps};
 use crate::credential::CertificationAuthority;
 use crate::engine::{Engine, ExecPolicy, RunOptions, TraceSink};
-use crate::hierarchy::SourceSpec;
 use crate::party::{Client, DataSource, Mediator};
 use crate::policy::AccessPolicy;
 use crate::protocol::{apply_residual, ProtocolKind, RunReport, Scenario};
@@ -151,6 +150,16 @@ pub fn exposure(kind: &ProtocolKind) -> LeakageBudget {
         }
     }
     e
+}
+
+/// One base datasource handed to [`Engine::run_plan`].
+pub struct SourceSpec {
+    /// Relation name (must match the names used in the query).
+    pub name: String,
+    /// The relation served.
+    pub relation: Relation,
+    /// The source's access policy.
+    pub policy: AccessPolicy,
 }
 
 /// One input of a plan node.

@@ -31,6 +31,10 @@
 //! [`MedError::Busy`]; with a reconnect policy the fabric backs off and
 //! redials on its own.
 
+// This module is the socket fabric, one of the places bytes may leave
+// the process.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 
@@ -191,6 +195,8 @@ impl SocketFabric {
     }
 
     /// One dial + `Hello`/`HelloAck` exchange.
+    // The handshake frames are fabric metadata the fabric encodes itself.
+    #[allow(clippy::disallowed_methods)]
     fn dial(addr: SocketAddr, session: u64, policy: DeliveryPolicy) -> Result<TcpStream, MedError> {
         let mut socket = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
         socket
@@ -251,6 +257,8 @@ impl SocketFabric {
     /// (its echo is the next replayed blob).  Refusals that cannot heal
     /// (`UnknownSession` after a server restart, `ReplayGone`) and an
     /// exhausted redial budget are terminal typed errors.
+    // The `Resume` handshake frames are fabric metadata.
+    #[allow(clippy::disallowed_methods)]
     fn resume(&mut self, cause: MedError) -> Result<(), MedError> {
         if !self.reconnect.enabled() {
             return Err(cause);
@@ -381,6 +389,8 @@ impl Fabric for SocketFabric {
         }
     }
 
+    // The closing `Goodbye` is fabric metadata.
+    #[allow(clippy::disallowed_methods)]
     fn into_recorder(mut self) -> Result<Transport, MedError> {
         let goodbye = Frame::Goodbye.encode_with_session(self.session);
         if let Err(e) = stream::write_blob(&mut self.socket, &goodbye) {

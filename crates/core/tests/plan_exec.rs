@@ -11,9 +11,8 @@
 use std::collections::HashMap;
 
 use relalg::Relation;
-use secmed_core::hierarchy::SourceSpec;
 use secmed_core::observe::unified_plan_report;
-use secmed_core::plan::{LeakageBudget, Plan, PlanReport, PlanRunOptions};
+use secmed_core::plan::{LeakageBudget, Plan, PlanReport, PlanRunOptions, SourceSpec};
 use secmed_core::{
     AccessPolicy, CertificationAuthority, Client, CommutativeConfig, DasConfig, Engine, PmConfig,
     Property, ProtocolKind,

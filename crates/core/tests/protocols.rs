@@ -2,6 +2,9 @@
 //! produce exactly the plaintext reference join — and leak exactly what
 //! Table 1 says it leaks.
 
+// The byte-accounting check re-encodes recorded frames by hand.
+#![allow(clippy::disallowed_methods)]
+
 use secmed_core::workload::{small_workload, WorkloadSpec};
 use secmed_core::{
     CommutativeConfig, CommutativeMode, DasConfig, Engine, PmConfig, PmEval, PmPayloadMode,

@@ -1,6 +1,6 @@
-//! The pluggable rule engine: rules see lexed sources, parsed ASTs with
-//! a workspace call graph, and raw manifests; the engine applies
-//! suppressions and audits the suppressions themselves.
+//! The pluggable rule engine: rules see lexed sources and parsed ASTs
+//! with a workspace call graph; the engine applies suppressions and
+//! audits the suppressions themselves.
 //!
 //! Per-file rules run in parallel via `secmed-pool` (one task per file,
 //! results rejoined in input order), then workspace rules run once over
@@ -53,15 +53,6 @@ impl Finding {
     }
 }
 
-/// A raw `Cargo.toml` for the dependency-policy rule.
-#[derive(Debug)]
-pub struct ManifestFile {
-    /// Workspace-relative path.
-    pub path: String,
-    /// File contents.
-    pub text: String,
-}
-
 /// The parsed whole-workspace view handed to [`Rule::check_workspace`]:
 /// every source's AST plus the call graph over all of them.
 pub struct WorkspaceView<'a> {
@@ -71,8 +62,8 @@ pub struct WorkspaceView<'a> {
     pub graph: CallGraph<'a>,
 }
 
-/// A lint rule over lexed sources, the parsed workspace, and/or
-/// manifests.  Rules must be `Sync`: per-file checks run in parallel.
+/// A lint rule over lexed sources and/or the parsed workspace.  Rules
+/// must be `Sync`: per-file checks run in parallel.
 pub trait Rule: Sync {
     /// Stable id, used in findings and `lint:allow` comments.
     fn id(&self) -> &'static str;
@@ -82,8 +73,6 @@ pub trait Rule: Sync {
     fn check_source(&self, _file: &SourceFile, _findings: &mut Vec<Finding>) {}
     /// Checks the whole parsed workspace (AST/callgraph rules).
     fn check_workspace(&self, _ws: &WorkspaceView<'_>, _findings: &mut Vec<Finding>) {}
-    /// Checks one manifest.
-    fn check_manifest(&self, _manifest: &ManifestFile, _findings: &mut Vec<Finding>) {}
 }
 
 /// The outcome of a full engine run.
@@ -91,7 +80,7 @@ pub trait Rule: Sync {
 pub struct RunOutcome {
     /// Surviving findings, sorted by path then line.
     pub findings: Vec<Finding>,
-    /// Files scanned (sources + manifests).
+    /// Source files scanned.
     pub files_scanned: usize,
     /// Suppressions that silenced at least one finding:
     /// `(file, line, rules, reason)`.
@@ -168,23 +157,14 @@ impl RunOutcome {
     }
 }
 
-/// Runs `rules` over the given sources and manifests on one thread.
-pub fn run(
-    rules: &[Box<dyn Rule>],
-    sources: &[SourceFile],
-    manifests: &[ManifestFile],
-) -> RunOutcome {
-    run_with(rules, sources, manifests, 1)
+/// Runs `rules` over the given sources on one thread.
+pub fn run(rules: &[Box<dyn Rule>], sources: &[SourceFile]) -> RunOutcome {
+    run_with(rules, sources, 1)
 }
 
 /// Runs `rules` with `threads` workers for the per-file phase (`0` ⇒ the
 /// pool default).  Output is identical at any thread count.
-pub fn run_with(
-    rules: &[Box<dyn Rule>],
-    sources: &[SourceFile],
-    manifests: &[ManifestFile],
-    threads: usize,
-) -> RunOutcome {
+pub fn run_with(rules: &[Box<dyn Rule>], sources: &[SourceFile], threads: usize) -> RunOutcome {
     let pool = match threads {
         0 => Pool::default(),
         1 => Pool::sequential(),
@@ -285,11 +265,6 @@ pub fn run_with(
         }
     }
 
-    for manifest in manifests {
-        for rule in rules {
-            rule.check_manifest(manifest, &mut findings);
-        }
-    }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     let suppressions_used = sources
         .iter()
@@ -308,7 +283,7 @@ pub fn run_with(
         .collect();
     RunOutcome {
         findings,
-        files_scanned: sources.len() + manifests.len(),
+        files_scanned: sources.len(),
         suppressions_used,
     }
 }
@@ -346,7 +321,7 @@ mod tests {
     #[test]
     fn findings_survive_without_suppression() {
         let src = SourceFile::new("crates/x/src/lib.rs", "let foo = 1;");
-        let out = run(&engine_rules(), &[src], &[]);
+        let out = run(&engine_rules(), &[src]);
         assert_eq!(out.findings.len(), 1);
         assert_eq!(
             out.findings[0].render(),
@@ -361,7 +336,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "let foo = 1; // lint:allow(ban-foo) -- test fixture",
         );
-        let out = run(&engine_rules(), &[src], &[]);
+        let out = run(&engine_rules(), &[src]);
         assert!(out.clean(), "{:?}", out.findings);
         assert_eq!(out.suppressions_used.len(), 1);
         assert_eq!(out.suppressions_used[0].3, "test fixture");
@@ -370,7 +345,7 @@ mod tests {
     #[test]
     fn unreasoned_suppression_is_a_finding_and_does_not_silence() {
         let src = SourceFile::new("crates/x/src/lib.rs", "let foo = 1; // lint:allow(ban-foo)");
-        let out = run(&engine_rules(), &[src], &[]);
+        let out = run(&engine_rules(), &[src]);
         let rules: Vec<_> = out.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"ban-foo"));
         assert!(rules.contains(&SUPPRESSION_RULE));
@@ -382,7 +357,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "// lint:allow(ban-foo) -- nothing here\nlet bar = 1;",
         );
-        let out = run(&engine_rules(), &[src], &[]);
+        let out = run(&engine_rules(), &[src]);
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, SUPPRESSION_RULE);
     }
@@ -390,7 +365,7 @@ mod tests {
     #[test]
     fn jsonl_has_one_record_per_finding_plus_summary() {
         let src = SourceFile::new("crates/x/src/lib.rs", "foo(); foo();");
-        let out = run(&engine_rules(), &[src], &[]);
+        let out = run(&engine_rules(), &[src]);
         let jsonl = out.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -402,7 +377,7 @@ mod tests {
     #[test]
     fn summary_table_lists_rule_counts() {
         let src = SourceFile::new("crates/x/src/lib.rs", "foo();");
-        let out = run(&engine_rules(), &[src], &[]);
+        let out = run(&engine_rules(), &[src]);
         let table = out.summary_table();
         assert!(table.contains("ban-foo"));
         assert!(table.contains("total"));

@@ -6,10 +6,10 @@
 //!
 //! - `panic-freedom` — no aborting escape hatches in protocol/crypto/bigint
 //!   code (a panic in the mediator is a DoS lever),
-//! - `transport-discipline` — protocol messages flow through the recording
-//!   `secmed-core::transport`, keeping traces complete,
 //! - `determinism` — wall-clock reads only in `crates/obs` / `crates/bench`,
-//! - `dependency-policy` — every `Cargo.toml` dependency is a path dep.
+//!   raw threading only in `crates/pool`,
+//! - `fault-discipline` — fault plans are built only at the fabric
+//!   boundary and in the test and bench harnesses.
 //!
 //! plus the AST/callgraph rules layered on the item-level parser
 //! ([`ast`], [`callgraph`], [`taint`]):
@@ -20,6 +20,11 @@
 //!   bump the primitive census so Table 2 stays exact,
 //! - `retry-discipline` — `DeliveryPolicy` bounded, `RunOutcome::Degraded`
 //!   explained.
+//!
+//! The path bans that need only name resolution are not here: the
+//! workspace `clippy.toml` bans raw sockets, in-process channels and the
+//! frame codec outside their boundaries, and `scripts/ci.sh` checks that
+//! every locked dependency resolves by path.
 //!
 //! Violations render as `file:line: rule-id: message`; a machine-readable
 //! JSONL report goes to `target/obs/lint.jsonl`.  Audited escapes use
@@ -45,7 +50,7 @@ pub mod walk;
 use std::io;
 use std::path::Path;
 
-pub use engine::{Finding, ManifestFile, Rule, RunOutcome};
+pub use engine::{Finding, Rule, RunOutcome};
 pub use source::SourceFile;
 
 /// The committed baseline file name, resolved against the workspace root.
@@ -60,13 +65,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<RunOutcome> {
 /// [`lint_workspace`] with an explicit per-file thread count (`0` ⇒ pool
 /// default).  Output is identical at any thread count.
 pub fn lint_workspace_with(root: &Path, threads: usize) -> io::Result<RunOutcome> {
-    let ws = walk::collect(root)?;
-    Ok(engine::run_with(
-        &rules::default_rules(),
-        &ws.sources,
-        &ws.manifests,
-        threads,
-    ))
+    let sources = walk::collect(root)?;
+    Ok(engine::run_with(&rules::default_rules(), &sources, threads))
 }
 
 /// A full CI-gate evaluation: the raw outcome plus the baseline ratchet.

@@ -169,7 +169,6 @@ mod tests {
         engine::run(
             &rules,
             &[SourceFile::new("crates/crypto/src/thing.rs", src)],
-            &[],
         )
         .findings
     }

@@ -235,7 +235,6 @@ mod tests {
         engine::run(
             &rules,
             &[SourceFile::new("crates/core/src/transport.rs", src)],
-            &[],
         )
         .findings
     }

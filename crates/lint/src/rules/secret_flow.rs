@@ -61,7 +61,7 @@ mod tests {
 
     fn check(path: &str, src: &str) -> Vec<Finding> {
         let rules: Vec<Box<dyn Rule>> = vec![Box::new(SecretFlow)];
-        engine::run(&rules, &[SourceFile::new(path, src)], &[])
+        engine::run(&rules, &[SourceFile::new(path, src)])
             .findings
             .into_iter()
             .filter(|f| f.rule == "secret-flow")

@@ -1,12 +1,10 @@
-//! Workspace walker: collects `.rs` sources and `Cargo.toml` manifests,
-//! with workspace-relative forward-slash paths so rules can scope by
-//! directory prefix on any host.
+//! Workspace walker: collects `.rs` sources with workspace-relative
+//! forward-slash paths so rules can scope by directory prefix on any host.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::engine::ManifestFile;
 use crate::source::SourceFile;
 
 /// Directory names never descended into.
@@ -17,36 +15,20 @@ const SKIP_DIRS: &[&str] = &["target", ".git", ".claude"];
 /// integration tests, not the workspace scan.
 const SKIP_PREFIXES: &[&str] = &["crates/lint/tests/fixtures/"];
 
-/// Everything the engine needs from one workspace.
-pub struct Workspace {
-    /// Lexed `.rs` files.
-    pub sources: Vec<SourceFile>,
-    /// Raw `Cargo.toml` files.
-    pub manifests: Vec<ManifestFile>,
-}
-
-/// Walks `root`, collecting sources and manifests.
-pub fn collect(root: &Path) -> io::Result<Workspace> {
+/// Walks `root`, lexing every `.rs` source in path order.
+pub fn collect(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     walk_dir(root, &mut files)?;
     files.sort();
-    let mut ws = Workspace {
-        sources: Vec::new(),
-        manifests: Vec::new(),
-    };
+    let mut sources = Vec::new();
     for path in files {
         let rel = relative(root, &path);
         if SKIP_PREFIXES.iter().any(|p| rel.starts_with(p)) {
             continue;
         }
-        let text = fs::read_to_string(&path)?;
-        if rel.ends_with(".rs") {
-            ws.sources.push(SourceFile::new(&rel, &text));
-        } else {
-            ws.manifests.push(ManifestFile { path: rel, text });
-        }
+        sources.push(SourceFile::new(&rel, &fs::read_to_string(&path)?));
     }
-    Ok(ws)
+    Ok(sources)
 }
 
 fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -60,7 +42,7 @@ fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
                 continue;
             }
             walk_dir(&path, out)?;
-        } else if name.ends_with(".rs") || name == "Cargo.toml" {
+        } else if name.ends_with(".rs") {
             out.push(path);
         }
     }
@@ -90,26 +72,17 @@ mod tests {
     }
 
     #[test]
-    fn collects_sources_and_manifests_with_relative_paths() {
-        let ws = collect(&workspace_root()).expect("walk workspace");
-        assert!(ws
-            .sources
-            .iter()
-            .any(|s| s.path == "crates/lint/src/walk.rs"));
-        assert!(ws.manifests.iter().any(|m| m.path == "Cargo.toml"));
-        assert!(ws
-            .manifests
-            .iter()
-            .any(|m| m.path == "crates/lint/Cargo.toml"));
+    fn collects_sources_with_relative_paths() {
+        let sources = collect(&workspace_root()).expect("walk workspace");
+        assert!(sources.iter().any(|s| s.path == "crates/lint/src/walk.rs"));
     }
 
     #[test]
     fn skips_fixtures_and_target() {
-        let ws = collect(&workspace_root()).expect("walk workspace");
-        assert!(ws
-            .sources
+        let sources = collect(&workspace_root()).expect("walk workspace");
+        assert!(sources
             .iter()
             .all(|s| !s.path.starts_with("crates/lint/tests/fixtures/")));
-        assert!(ws.sources.iter().all(|s| !s.path.starts_with("target/")));
+        assert!(sources.iter().all(|s| !s.path.starts_with("target/")));
     }
 }

@@ -27,7 +27,7 @@ fn sources() -> Vec<SourceFile> {
 
 #[test]
 fn jsonl_report_round_trips_through_obs_json() {
-    let out = run_with(&default_rules(), &sources(), &[], 1);
+    let out = run_with(&default_rules(), &sources(), 1);
     let jsonl = out.to_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), out.findings.len() + 1);
@@ -75,8 +75,8 @@ fn jsonl_report_round_trips_through_obs_json() {
 /// which file: one thread and eight threads must render byte-identically.
 #[test]
 fn report_is_identical_at_one_and_eight_threads() {
-    let sequential = run_with(&default_rules(), &sources(), &[], 1);
-    let parallel = run_with(&default_rules(), &sources(), &[], 8);
+    let sequential = run_with(&default_rules(), &sources(), 1);
+    let parallel = run_with(&default_rules(), &sources(), 8);
     assert_eq!(sequential.to_jsonl(), parallel.to_jsonl());
     assert_eq!(sequential.files_scanned, parallel.files_scanned);
     assert_eq!(sequential.suppressions_used, parallel.suppressions_used);

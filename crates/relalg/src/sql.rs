@@ -204,25 +204,10 @@ pub fn parse(sql: &str) -> Result<Algebra, RelError> {
 /// `R1.ssn = R2.ssn`) become join attributes; all other conjuncts and any
 /// projection become the client's residual work.
 pub fn decompose(tree: &Algebra) -> Result<Decomposition, RelError> {
-    // Peel aggregation (always client-side work in the mediated setting).
-    let (aggregate, tree) = match tree {
-        Algebra::Aggregate {
-            input,
-            group_cols,
-            aggs,
-        } => (Some((group_cols.clone(), aggs.clone())), input.as_ref()),
-        other => (None, other),
-    };
-    // Peel projection.
-    let (cols, inner) = match tree {
-        Algebra::Project { input, cols } => (Some(cols.clone()), input.as_ref()),
-        other => (None, other),
-    };
-    // Peel selection.
-    let (pred, inner) = match inner {
-        Algebra::Select { input, pred } => (Some(pred.clone()), input.as_ref()),
-        other => (None, other),
-    };
+    // Aggregation and projection are always client-side work in the
+    // mediated setting; the selection is split into join equalities and
+    // residual filters below.
+    let (aggregate, (cols, pred), inner) = peel(tree);
     let Algebra::Join {
         left,
         right,

@@ -1,5 +1,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The server is a process boundary: it owns the listening socket and
+// peeks frame headers to validate sessions.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 //! `secmed-server` — the mediator as a persistent process.
 //!

@@ -7,6 +7,10 @@
 //! `Goodbye` and immediately tears down must never be mis-recorded as
 //! aborted, even with many clients hammering the server at once.
 
+// These tests play misbehaving clients: they open raw sockets and
+// hand-encode frames the socket fabric would never send.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use secmed_core::{Fabric, MedError, PartyId, SocketFabric};
 use secmed_server::{Server, ServerConfig, ServerFaultPlan, SessionOutcome};
 use secmed_testkit::{cases, Gen};

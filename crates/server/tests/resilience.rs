@@ -11,6 +11,10 @@
 //! echoes the client missed and sequence numbers never appear in frame
 //! bytes, so the recorded log cannot tell the difference.
 
+// These tests play misbehaving clients: they open raw sockets and
+// hand-encode frames the socket fabric would never send.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::sync::Arc;
 
 use secmed_core::{

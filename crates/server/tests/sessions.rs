@@ -3,6 +3,10 @@
 //! invariant is resource hygiene — every exit path reclaims the session
 //! table entry and writes a ledger line with a typed outcome.
 
+// These tests play misbehaving clients: they open raw sockets and
+// hand-encode frames the socket fabric would never send.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::net::TcpStream;
 
 use secmed_core::{DeliveryPolicy, MedError, SocketFabric};

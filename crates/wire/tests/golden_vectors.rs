@@ -6,6 +6,9 @@
 //! purpose (run with `WIRE_BLESS=1` to rewrite them) and the
 //! [`secmed_wire::WIRE_VERSION`] is bumped.
 
+// These tests pin the codec, so they call it directly.
+#![allow(clippy::disallowed_methods)]
+
 mod common;
 
 use std::fs;

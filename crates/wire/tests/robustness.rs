@@ -3,6 +3,9 @@
 //! it never panics, never over-allocates, and never silently accepts a
 //! mangled header.
 
+// These tests drive the decoder directly with hostile input.
+#![allow(clippy::disallowed_methods)]
+
 mod common;
 
 use secmed_testkit::cases;

@@ -10,9 +10,8 @@
 //!
 //! Run with: `cargo run --release --example three_way_federation`
 
-use secmed::core::hierarchy::SourceSpec;
 use secmed::core::observe::unified_plan_report;
-use secmed::core::plan::{exposure, LeakageBudget, PlanRunOptions};
+use secmed::core::plan::{exposure, LeakageBudget, PlanRunOptions, SourceSpec};
 use secmed::core::{AccessPolicy, CertificationAuthority, Client, Engine, Property, ProtocolKind};
 use secmed::crypto::drbg::HmacDrbg;
 use secmed::crypto::group::{GroupSize, SafePrimeGroup};

@@ -1,20 +1,16 @@
 #!/usr/bin/env bash
-# BENCH_*.json regression gate.
+# BENCH_*.json regression gate: emits fresh trajectories, checks schema
+# and required series, and compares BENCH_core.json and
+# BENCH_resilience.json with the committed baselines at the repo root:
+# deterministic series exactly, wall-clock series within --max-ratio.
 #
-#   scripts/bench_check.sh          # smoke: emit BENCH_core.json, check
-#                                   # schema + required series (CI mode)
-#   scripts/bench_check.sh full     # also gate against the committed
-#                                   # baseline BENCH_core.json: byte
-#                                   # series exactly, wall-clock within
-#                                   # --max-ratio
+#   scripts/bench_check.sh
 #
-# The committed baseline lives at the repo root; refresh it with
+# Refresh the core baseline with
 #   cargo run --release -p secmed-bench --bin report && \
 #   cp target/bench/BENCH_core.json BENCH_core.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-mode="${1:-smoke}"
 
 # Emit a fresh trajectory (also exercises the instrumented engine paths).
 cargo run -q --release --offline -p secmed-bench --bin report >/dev/null
@@ -26,14 +22,9 @@ for proto in das commutative pm; do
   done
 done
 
-if [ "$mode" = full ]; then
-  cargo run -q --release --offline -p secmed-bench --bin bench_check -- \
-    target/bench/BENCH_core.json "${required[@]}" \
-    --baseline BENCH_core.json --max-ratio 4.0
-else
-  cargo run -q --release --offline -p secmed-bench --bin bench_check -- \
-    target/bench/BENCH_core.json "${required[@]}"
-fi
+cargo run -q --release --offline -p secmed-bench --bin bench_check -- \
+  target/bench/BENCH_core.json "${required[@]}" \
+  --baseline BENCH_core.json --max-ratio 4.0
 
 # The lint wall-time trajectory: secmed-lint records its scan duration as
 # a *timing* series (unit "ns"), never a deterministic one, so machine
@@ -67,8 +58,8 @@ cargo run -q --release --offline -p secmed-bench --bin bench_check -- \
 # counts under server-side chaos, and per-session bytes are all
 # deterministic (seeded fault rolls, byte-identical resume); the drain
 # latency and total wall are timing series.  The deterministic series
-# gate against the committed baseline BENCH_resilience.json in full
-# mode (exact — counts are seeded, not raced); refresh it with
+# gate against the committed baseline BENCH_resilience.json (exact —
+# counts are seeded, not raced); refresh it with
 #   cargo run --release -p secmed-bench --bin resilience && \
 #   cp target/bench/BENCH_resilience.json BENCH_resilience.json
 resilience_required=(
@@ -77,11 +68,6 @@ resilience_required=(
   --require-timing resilience/drain/wall --require-timing resilience/wall
 )
 cargo run -q --release --offline -p secmed-bench --bin resilience >/dev/null
-if [ "$mode" = full ]; then
-  cargo run -q --release --offline -p secmed-bench --bin bench_check -- \
-    target/bench/BENCH_resilience.json "${resilience_required[@]}" \
-    --baseline BENCH_resilience.json --max-ratio 4.0
-else
-  cargo run -q --release --offline -p secmed-bench --bin bench_check -- \
-    target/bench/BENCH_resilience.json "${resilience_required[@]}"
-fi
+cargo run -q --release --offline -p secmed-bench --bin bench_check -- \
+  target/bench/BENCH_resilience.json "${resilience_required[@]}" \
+  --baseline BENCH_resilience.json --max-ratio 4.0

@@ -11,6 +11,15 @@ cargo fmt --check
 # it; build it against this checkout's APIs.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench-build
 
+# Every dependency resolves by path: the build is offline-only and every
+# party's code is in-tree.  Cargo writes a `source = ` line for each
+# registry or git package in a lockfile and never for a path package, so
+# the two lockfiles the builds above resolved state the policy directly.
+if grep -n '^source = ' Cargo.lock perfbench/Cargo.lock; then
+  echo "dependency policy: the lockfile entries above do not resolve by path" >&2
+  exit 1
+fi
+
 # The engine's hard invariant, run by name so a filter change can never
 # silently drop it: identical RunReports at 1, 2, and 8 worker threads,
 # holding at default test parallelism (each run counts into its own scope).
@@ -69,19 +78,17 @@ cargo test -q --offline -p secmed-plan
 cargo test -q --offline -p secmed-core --test plan_exec
 echo "planner: relalg edges + plan unit suite + 3-way plan execution ok"
 
-# The BENCH_*.json gate in smoke mode: emit a fresh core trajectory and
-# validate schema + required series (full baseline compare is manual:
-# scripts/bench_check.sh full).
+# The BENCH_*.json gate: emit fresh trajectories and compare them with
+# the committed BENCH_core.json and BENCH_resilience.json baselines
+# (deterministic series exactly, wall-clock within 4.0x).
 scripts/bench_check.sh
-echo "bench gate: BENCH_core.json schema + series presence ok"
+echo "bench gate: BENCH_core.json + BENCH_resilience.json baselines ok"
 
-# The analyzer's own suite, run by name so a filter change can never
-# silently drop it: fixture-pair rule tests (including the multi-hop
+# The analyzer's whole suite: its unit tests (engine, walker, lexer, AST,
+# taint, per-rule), the fixture-pair rule tests (including the multi-hop
 # secret-flow regression the old token rule missed), the JSONL report
 # round-trip, and the in-process workspace self-scan + baseline gate.
-cargo test -q --offline -p secmed-lint --test rules
-cargo test -q --offline -p secmed-lint --test report
-cargo test -q --offline -p secmed-lint --test selftest
+cargo test -q --offline -p secmed-lint
 
 # Static analysis: the in-tree lint ratchets findings against the
 # committed lint-baseline.json — new findings fail, stale entries fail,
@@ -96,4 +103,6 @@ if ! cargo run -q -p secmed-lint --offline; then
     | sed -n 's/.*"by_rule":{\([^}]*\)}.*/\1/p' | tr ',' '\n'
   exit 1
 fi
+# Clippy also enforces the path bans in clippy.toml: raw sockets,
+# in-process channels and the frame codec outside their boundaries.
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: SQL text in, verified ciphertext-mediated
 //! join out, exercising every layer of the stack together.
 
-use secmed::core::hierarchy::{chained_join, SourceSpec};
+use std::collections::BTreeMap;
+
+use secmed::core::plan::{LeakageBudget, PlanRunOptions, SourceSpec};
 use secmed::core::workload::small_workload;
 use secmed::core::{
     AccessPolicy, AccessRule, CertificationAuthority, Client, CommutativeConfig, DasConfig,
@@ -10,6 +12,7 @@ use secmed::core::{
 };
 use secmed::crypto::group::{GroupSize, SafePrimeGroup};
 use secmed::crypto::HmacDrbg;
+use secmed::plan::{stats_of, Planner};
 use secmed::relalg::{Predicate, Relation, Schema, Type, Value};
 
 fn group() -> SafePrimeGroup {
@@ -137,134 +140,121 @@ fn projection_and_selection_compose_with_encryption() {
     assert_eq!(report.result.tuples()[0].at(0), &Value::from("ada"));
 }
 
-#[test]
-fn hierarchy_chains_two_mediations() {
-    let mut rng = HmacDrbg::from_label("chain/ca");
+fn relation(attrs: &[(&str, Type)], rows: Vec<Vec<Value>>) -> Relation {
+    Relation::build(Schema::new(attrs), rows).unwrap()
+}
+
+/// The Section 8 mediator hierarchy: the chained join `a ⨝ b ⨝ c` runs as a
+/// two-node plan whose first result is a datasource of the second
+/// mediation. Asserts the plan's two mediations and compares the result
+/// with the plaintext join, ignoring column order.
+fn assert_chain_matches_plaintext(seed: &str, [a, b, c]: [Relation; 3], kind: ProtocolKind) {
+    let mut rng = HmacDrbg::from_label(&format!("{seed}/ca"));
     let ca = CertificationAuthority::new(group(), &mut rng);
+    let client_label = format!("{seed}/client");
     let template = || {
         Client::setup(
             &ca,
             vec![Property::new("role", "x")],
             group(),
             768,
-            "chain/client",
+            &client_label,
         )
     };
-    let r = |rows: Vec<Vec<Value>>, attrs: &[(&str, Type)]| {
-        Relation::build(Schema::new(attrs), rows).unwrap()
-    };
-    let a = r(
+    let reference = a.natural_join(&b).unwrap().natural_join(&c).unwrap();
+    let catalog = BTreeMap::from([
+        ("a".to_string(), a),
+        ("b".to_string(), b),
+        ("c".to_string(), c),
+    ]);
+    let schemas: BTreeMap<_, _> = catalog
+        .iter()
+        .map(|(name, rel)| (name.clone(), rel.schema().clone()))
+        .collect();
+    let plan = Planner::with_candidates(vec![kind])
+        .plan(
+            "select * from a natural join b natural join c",
+            &schemas,
+            &stats_of(&catalog),
+            LeakageBudget::open(),
+        )
+        .unwrap();
+    let sources = catalog
+        .into_iter()
+        .map(|(name, relation)| SourceSpec {
+            name,
+            relation,
+            policy: AccessPolicy::allow_all(),
+        })
+        .collect();
+    let report =
+        Engine::run_plan(&ca, template, sources, &plan, &PlanRunOptions::default()).unwrap();
+    assert_eq!(report.nodes.len(), 2, "{kind:?}");
+    let cols = reference.schema().attr_names();
+    assert_eq!(
+        report.result.project(&cols).unwrap().sorted(),
+        reference.sorted(),
+        "{kind:?}"
+    );
+}
+
+#[test]
+fn hierarchy_chains_two_mediations() {
+    let a = relation(
+        &[("k", Type::Int), ("a", Type::Str)],
         vec![
             vec![Value::Int(1), Value::from("x")],
             vec![Value::Int(2), Value::from("y")],
         ],
-        &[("k", Type::Int), ("a", Type::Str)],
     );
-    let b = r(
+    let b = relation(
+        &[("k", Type::Int), ("b", Type::Int)],
         vec![
             vec![Value::Int(1), Value::Int(10)],
             vec![Value::Int(2), Value::Int(20)],
         ],
-        &[("k", Type::Int), ("b", Type::Int)],
     );
-    let c = r(
-        vec![vec![Value::Int(10), Value::from("deep")]],
+    let c = relation(
         &[("b", Type::Int), ("c", Type::Str)],
+        vec![vec![Value::Int(10), Value::from("deep")]],
     );
-    let report = chained_join(
-        &ca,
-        template,
-        SourceSpec {
-            name: "a".into(),
-            relation: a.clone(),
-            policy: AccessPolicy::allow_all(),
-        },
-        SourceSpec {
-            name: "b".into(),
-            relation: b.clone(),
-            policy: AccessPolicy::allow_all(),
-        },
-        SourceSpec {
-            name: "c".into(),
-            relation: c.clone(),
-            policy: AccessPolicy::allow_all(),
-        },
-        &RunOptions::commutative(CommutativeConfig::default()),
-    )
-    .unwrap();
-    let reference = a.natural_join(&b).unwrap().natural_join(&c).unwrap();
-    assert_eq!(report.result.sorted(), reference.sorted());
-    assert_eq!(report.stages.len(), 2);
+    assert_chain_matches_plaintext(
+        "chain",
+        [a, b, c],
+        ProtocolKind::Commutative(CommutativeConfig::default()),
+    );
 }
 
 #[test]
 fn hierarchy_works_with_all_three_protocols() {
-    let mut rng = HmacDrbg::from_label("chain3/ca");
-    let ca = CertificationAuthority::new(group(), &mut rng);
-    let template = || {
-        Client::setup(
-            &ca,
-            vec![Property::new("role", "x")],
-            group(),
-            768,
-            "chain3/client",
-        )
-    };
-    let r = |rows: Vec<Vec<Value>>, attrs: &[(&str, Type)]| {
-        Relation::build(Schema::new(attrs), rows).unwrap()
-    };
     let make = || {
-        (
-            r(
+        [
+            relation(
+                &[("k", Type::Int), ("a", Type::Int)],
                 vec![
                     vec![Value::Int(1), Value::Int(10)],
                     vec![Value::Int(2), Value::Int(20)],
                 ],
-                &[("k", Type::Int), ("a", Type::Int)],
             ),
-            r(
+            relation(
+                &[("k", Type::Int), ("b", Type::Int)],
                 vec![
                     vec![Value::Int(1), Value::Int(7)],
                     vec![Value::Int(3), Value::Int(9)],
                 ],
-                &[("k", Type::Int), ("b", Type::Int)],
             ),
-            r(
-                vec![vec![Value::Int(7), Value::from("leaf")]],
+            relation(
                 &[("b", Type::Int), ("c", Type::Str)],
+                vec![vec![Value::Int(7), Value::from("leaf")]],
             ),
-        )
+        ]
     };
-    let (a, b, c) = make();
-    let reference = a.natural_join(&b).unwrap().natural_join(&c).unwrap();
     for kind in [
         ProtocolKind::Das(DasConfig::default()),
         ProtocolKind::Commutative(CommutativeConfig::default()),
         ProtocolKind::Pm(PmConfig::default()),
     ] {
-        let (a, b, c) = make();
-        let report = chained_join(
-            &ca,
-            template,
-            SourceSpec {
-                name: "a".into(),
-                relation: a,
-                policy: AccessPolicy::allow_all(),
-            },
-            SourceSpec {
-                name: "b".into(),
-                relation: b,
-                policy: AccessPolicy::allow_all(),
-            },
-            SourceSpec {
-                name: "c".into(),
-                relation: c,
-                policy: AccessPolicy::allow_all(),
-            },
-            &RunOptions::new(kind),
-        )
-        .unwrap();
-        assert_eq!(report.result.sorted(), reference.sorted(), "{kind:?}");
+        assert_chain_matches_plaintext("chain3", make(), kind);
     }
 }
 
