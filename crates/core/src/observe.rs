@@ -115,102 +115,75 @@ pub fn plan_stats(exec: &PlanReport) -> Vec<PlanNodeStat> {
 
 /// Builds the unified report for one executed plan.
 ///
-/// Traffic, primitive, interaction, and metric sections aggregate over
-/// every node's run (summed per edge / primitive / partner / metric key,
-/// in first-use order), the leakage section carries each node's audited
+/// Traffic, primitive, interaction, and metric sections sum every node's
+/// own [`unified_report`] (per edge / primitive / partner / metric key, in
+/// first-use order), the leakage section carries each node's audited
 /// views prefixed with its label, and the `plan` section records the
 /// per-node protocol choice and divergence cross-check.  Every number is
 /// drawn from the nodes' own recorders, so the report is byte-identical
 /// across reruns and thread counts.
 pub fn unified_plan_report(plan: &Plan, exec: &PlanReport) -> UnifiedReport {
-    let mut edges: Vec<EdgeStat> = Vec::new();
-    let mut ops: Vec<OpStat> = Vec::new();
-    let mut interactions: Vec<(String, u64)> = Vec::new();
-    let mut leakage: Vec<String> = Vec::new();
-    let mut metrics: Vec<(String, u64)> = Vec::new();
-    let mut retries = 0u64;
-    let mut outcome = "clean".to_string();
-    for n in &exec.nodes {
-        for e in n.report.transport.log() {
-            let from = e.from.to_string();
-            let to = e.to.to_string();
-            match edges.iter_mut().find(|x| x.from == from && x.to == to) {
-                Some(x) => {
-                    x.messages += 1;
-                    x.bytes += e.bytes() as u64;
-                }
-                None => edges.push(EdgeStat {
-                    from,
-                    to,
-                    messages: 1,
-                    bytes: e.bytes() as u64,
-                }),
-            }
-        }
-        for (op, count) in &n.report.primitives {
-            let name = op.name();
-            match ops.iter_mut().find(|o| o.name == name) {
-                Some(o) => o.count += count,
-                None => ops.push(OpStat {
-                    name: name.to_string(),
-                    count: *count,
-                }),
-            }
-        }
-        let mut partners: Vec<PartyId> = Vec::new();
-        for e in n.report.transport.log() {
-            for p in [&e.from, &e.to] {
-                if *p != PartyId::Mediator && !partners.contains(p) {
-                    partners.push(p.clone());
-                }
-            }
-        }
-        for p in partners {
-            let key = p.to_string();
-            let count = n.report.transport.interactions_of(&p) as u64;
-            match interactions.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => *v += count,
-                None => interactions.push((key, count)),
-            }
-        }
-        leakage.push(format!(
-            "{}: mediator: {}",
-            n.label,
-            n.report.mediator_view.describe()
-        ));
-        leakage.push(format!(
-            "{}: client: {}",
-            n.label,
-            n.report.client_view.describe()
-        ));
-        for (k, v) in &n.report.metrics {
-            match metrics.iter_mut().find(|(mk, _)| mk == k) {
-                Some((_, mv)) => *mv += v,
-                None => metrics.push((k.clone(), *v)),
-            }
-        }
-        retries += n.report.outcome.retries();
-        if outcome == "clean" && n.report.outcome.key() != "clean" {
-            outcome = n.report.outcome.key().to_string();
-        }
-    }
-    metrics.sort();
-    UnifiedReport {
+    let mut sum = UnifiedReport {
         protocol: "plan".to_string(),
         workload: vec![
             ("tables".to_string(), plan.tables.len() as u64),
             ("nodes".to_string(), plan.nodes.len() as u64),
         ],
         phases: Vec::new(),
-        edges,
-        ops,
-        interactions,
-        leakage,
+        edges: Vec::new(),
+        ops: Vec::new(),
+        interactions: Vec::new(),
+        leakage: Vec::new(),
         result_rows: exec.result.len() as u64,
-        outcome,
-        retries,
-        metrics,
+        outcome: "clean".to_string(),
+        retries: 0,
+        metrics: Vec::new(),
         plan: plan_stats(exec),
+    };
+    for n in &exec.nodes {
+        let node = unified_report(n.protocol, &n.report, &[], Vec::new());
+        for e in node.edges {
+            match sum
+                .edges
+                .iter_mut()
+                .find(|x| x.from == e.from && x.to == e.to)
+            {
+                Some(x) => {
+                    x.messages += e.messages;
+                    x.bytes += e.bytes;
+                }
+                None => sum.edges.push(e),
+            }
+        }
+        for o in node.ops {
+            match sum.ops.iter_mut().find(|x| x.name == o.name) {
+                Some(x) => x.count += o.count,
+                None => sum.ops.push(o),
+            }
+        }
+        add_by_key(&mut sum.interactions, node.interactions);
+        add_by_key(&mut sum.metrics, node.metrics);
+        sum.leakage.extend(
+            node.leakage
+                .iter()
+                .map(|line| format!("{}: {line}", n.label)),
+        );
+        sum.retries += node.retries;
+        if sum.outcome == "clean" {
+            sum.outcome = node.outcome;
+        }
+    }
+    sum.metrics.sort();
+    sum
+}
+
+/// Adds `rows` into `acc` by key, appending keys in first-use order.
+fn add_by_key(acc: &mut Vec<(String, u64)>, rows: Vec<(String, u64)>) {
+    for (k, v) in rows {
+        match acc.iter_mut().find(|(ak, _)| *ak == k) {
+            Some((_, av)) => *av += v,
+            None => acc.push((k, v)),
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! [`crate::transport::Transport`], so a party's knowledge is exactly its
 //! initial state plus its received envelopes.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mpint::rng::Rng;
 use relalg::{Relation, Schema};
@@ -156,7 +156,7 @@ impl DataSource {
 pub struct Mediator {
     /// The homogeneous global schema: relation name → (qualified) schema,
     /// built by the embedding step the paper cites ([2]).
-    global_schema: HashMap<String, Schema>,
+    global_schema: BTreeMap<String, Schema>,
     /// The credential group of the deployment (from the sources' CA keys —
     /// public parameters), needed to decode credentials off the wire.
     credential_group: Option<SafePrimeGroup>,
@@ -187,26 +187,12 @@ impl Mediator {
             .ok_or_else(|| MedError::Protocol("mediator has no contracted sources".to_string()))
     }
 
-    /// The schema registered for a relation.
-    pub fn schema_of(&self, relation: &str) -> Result<&Schema, MedError> {
-        self.global_schema
-            .get(relation)
-            .ok_or_else(|| MedError::Protocol(format!("unknown relation {relation}")))
-    }
-
-    /// Infers natural-join attributes between two registered relations
-    /// (paper Section 2: "the mediator can identify the sets A1 and A2 of
-    /// attributes that have to be considered in the JOIN operation").
-    pub fn natural_join_attrs(&self, left: &str, right: &str) -> Result<Vec<String>, MedError> {
-        let l = self.schema_of(left)?;
-        let r = self.schema_of(right)?;
-        let attrs = l.common_attributes(r);
-        if attrs.is_empty() {
-            return Err(MedError::Protocol(format!(
-                "relations {left} and {right} share no attributes"
-            )));
-        }
-        Ok(attrs)
+    /// The global schema: every contracted relation's schema by name
+    /// (paper Section 2: from it "the mediator can identify the sets A1
+    /// and A2 of attributes that have to be considered in the JOIN
+    /// operation").
+    pub fn schemas(&self) -> &BTreeMap<String, Schema> {
+        &self.global_schema
     }
 
     /// The mediator's DRBG.
@@ -284,32 +270,5 @@ mod tests {
             other_ca.public_key().clone(),
         );
         assert!(source2.answer_partial_query(client.credentials()).is_err());
-    }
-
-    #[test]
-    fn mediator_infers_join_attributes() {
-        let (_, _, source) = fixture();
-        let other = DataSource::new(
-            "s",
-            Relation::empty(Schema::new(&[("id", Type::Int), ("w", Type::Str)])),
-            AccessPolicy::allow_all(),
-            source.ca_key.clone(),
-        );
-        let med = Mediator::new(&[&source, &other]);
-        assert_eq!(med.natural_join_attrs("r", "s").unwrap(), vec!["id"]);
-        assert!(med.schema_of("nope").is_err());
-    }
-
-    #[test]
-    fn mediator_rejects_joinless_pairs() {
-        let (_, _, source) = fixture();
-        let other = DataSource::new(
-            "s",
-            Relation::empty(Schema::new(&[("x", Type::Int)])),
-            AccessPolicy::allow_all(),
-            source.ca_key.clone(),
-        );
-        let med = Mediator::new(&[&source, &other]);
-        assert!(med.natural_join_attrs("r", "s").is_err());
     }
 }

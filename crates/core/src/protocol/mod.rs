@@ -19,8 +19,8 @@ pub mod pm;
 
 use std::collections::BTreeMap;
 
-use relalg::sql::{decompose, parse, Residual};
-use relalg::{Relation, Schema, Tuple, Value};
+use relalg::sql::{parse, query_graph, Residual};
+use relalg::{Predicate, Relation, Schema, Tuple, Value};
 use secmed_crypto::metrics::Op;
 use secmed_das::PartitionScheme;
 
@@ -300,7 +300,7 @@ impl Scenario {
 pub struct Prepared {
     /// Join attribute base names (`A_join`, possibly several).
     pub join_attrs: Vec<String>,
-    /// Residual client work from query decomposition.
+    /// Residual client work from the query analysis.
     pub residual: Residual,
     /// The left source's filtered partial result (held at the source).
     pub left_partial: Relation,
@@ -350,8 +350,9 @@ fn credential_subset(
 }
 
 /// Listing 1: the client sends the query and credentials; the mediator
-/// decomposes, localizes sources, forwards credential subsets; the sources
-/// check credentials and evaluate the partial queries.
+/// analyses it over its global schema, localizes sources, forwards
+/// credential subsets; the sources check credentials and evaluate the
+/// partial queries.
 ///
 /// Every message is a real [`Frame`]: the mediator works on the *decoded*
 /// query and credentials it received, and each source decodes (and then
@@ -387,37 +388,44 @@ pub fn request_phase<F: Fabric>(
         .map(|bytes| crate::credential::Credential::decode(bytes, &group))
         .collect::<Result<_, _>>()?;
 
-    // Step 2: mediator decomposes the received query and resolves join
-    // attributes.
-    let tree = parse(&sql)?;
-    let decomp = decompose(&tree)?;
-    if decomp.join.left != sc.left.name() || decomp.join.right != sc.right.name() {
-        return Err(MedError::Protocol(format!(
-            "query touches {}/{} but scenario sources are {}/{}",
-            decomp.join.left,
-            decomp.join.right,
-            sc.left.name(),
-            sc.right.name()
-        )));
-    }
-    let join_attrs = if decomp.join.attrs.is_empty() {
-        sc.mediator
-            .natural_join_attrs(&decomp.join.left, &decomp.join.right)?
-    } else {
-        decomp.join.attrs.clone()
+    // Step 2: the mediator analyses the received query over its global
+    // schema: a join of the two sources is a one-edge graph whose edge
+    // carries the join attributes `A_join`.  The partial queries are plain
+    // `select *`, so single-table filters stay client-side residual work.
+    let graph = query_graph(&parse(&sql)?, sc.mediator.schemas())?;
+    let join_attrs = match graph.edges.as_slice() {
+        [edge] if graph.tables == [sc.left.name(), sc.right.name()] => edge.attrs.clone(),
+        _ => {
+            return Err(MedError::Protocol(format!(
+                "query is not a two-relation join of {} and {} (it reads {})",
+                sc.left.name(),
+                sc.right.name(),
+                graph.tables.join(", ")
+            )))
+        }
+    };
+    let pred = graph
+        .residual
+        .pred
+        .into_iter()
+        .chain(graph.scan_preds.into_iter().map(|(_, p)| p))
+        .reduce(Predicate::and);
+    let residual = Residual {
+        pred,
+        ..graph.residual
     };
 
     // Step 3: mediator → sources (partial query + credential subset + A_i),
     // each as one frame; the sources decode their credential subsets off
     // the wire and verify them in step 4.
     let mut source_creds = Vec::with_capacity(2);
-    for (source, partial_sql, label) in [
-        (&sc.left, &decomp.q1, "L1.3 ⟨q1, CR1, A1⟩"),
-        (&sc.right, &decomp.q2, "L1.3 ⟨q2, CR2, A2⟩"),
+    for (source, label) in [
+        (&sc.left, "L1.3 ⟨q1, CR1, A1⟩"),
+        (&sc.right, "L1.3 ⟨q2, CR2, A2⟩"),
     ] {
         let subset = credential_subset(&client_creds, &source.advertised_properties());
         let frame = Frame::PartialQuery {
-            sql: partial_sql.clone(),
+            sql: format!("select * from {}", source.name()),
             credentials: subset
                 .iter()
                 .map(crate::credential::Credential::encode)
@@ -451,7 +459,7 @@ pub fn request_phase<F: Fabric>(
 
     Ok(Prepared {
         join_attrs,
-        residual: decomp.residual,
+        residual,
         left_partial,
         right_partial,
         left_creds,

@@ -62,17 +62,14 @@ fn sources_of(fed: &Federation) -> Vec<SourceSpec> {
         .collect()
 }
 
-/// Plaintext reference: evaluate the query directly over the catalog.
-fn reference(fed: &Federation) -> Relation {
+/// Plaintext reference: evaluate `query` directly over the catalog.
+fn reference(fed: &Federation, query: &str) -> Relation {
     let catalog: HashMap<String, Relation> = fed
         .catalog
         .iter()
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect();
-    relalg::sql::parse(&fed.query())
-        .unwrap()
-        .eval(&catalog)
-        .unwrap()
+    relalg::sql::parse(query).unwrap().eval(&catalog).unwrap()
 }
 
 /// Compares two relations up to row and column order.
@@ -106,7 +103,7 @@ fn three_way_plan_and_report_are_identical_across_thread_counts() {
         "planning must be a pure function of its inputs"
     );
 
-    let want = reference(&fed);
+    let want = reference(&fed, &fed.query());
     let mut fingerprints: Vec<String> = Vec::new();
     for threads in [1usize, 2, 8] {
         let exec = run(&fed, &plan, &PlanRunOptions::default().threads(threads));
@@ -172,7 +169,7 @@ fn tightening_the_budget_flips_a_node_and_still_executes() {
     );
 
     // Both plans execute and agree with the plaintext reference.
-    let want = reference(&fed);
+    let want = reference(&fed, &fed.query());
     let opts = PlanRunOptions::default();
     assert_same_rows(&run(&fed, &open, &opts).result, &want, "open budget");
     assert_same_rows(&run(&fed, &flipped, &opts).result, &want, "tight budget");
@@ -182,33 +179,46 @@ fn tightening_the_budget_flips_a_node_and_still_executes() {
 fn every_protocol_assignment_executes_and_matches_the_reference() {
     let fed = federation_3way();
     let stats = stats_of(&fed.catalog);
-    let want = reference(&fed);
-    for kind in [
-        ProtocolKind::Das(DasConfig::default()),
-        ProtocolKind::Commutative(CommutativeConfig::default()),
-        ProtocolKind::Pm(PmConfig::default()),
+    // The chain query, and the same chain with a single-table filter, a
+    // join-attribute filter the graph pushes to both of its carriers, and
+    // a cross-table residual.
+    let filtered = format!("{} where v0 <= 30 and k1 < 6 and v0 < v2", fed.query());
+    for (query, pushed_to, residual) in [
+        (fed.query(), vec![], false),
+        (filtered, vec!["t0", "t1", "t2"], true),
     ] {
-        // A single-candidate planner pins every node to one protocol.
-        let planner = Planner::with_candidates(vec![kind]);
-        let plan = planner
-            .plan(&fed.query(), &fed.schemas(), &stats, LeakageBudget::open())
-            .unwrap();
-        assert!(plan.nodes.iter().all(|n| n.protocol.key() == kind.key()));
-        let exec = run(&fed, &plan, &PlanRunOptions::default());
-        assert_same_rows(&exec.result, &want, kind.key());
-        for n in &exec.nodes {
-            assert!(
-                n.divergence.within_tolerance(),
-                "{} {}: {} ppm on {:?}",
-                kind.key(),
-                n.label,
-                n.divergence.max_ppm,
-                n.divergence.mismatched
-            );
+        let want = reference(&fed, &query);
+        assert!(!want.is_empty(), "{query}: the reference result is empty");
+        for kind in [
+            ProtocolKind::Das(DasConfig::default()),
+            ProtocolKind::Commutative(CommutativeConfig::default()),
+            ProtocolKind::Pm(PmConfig::default()),
+        ] {
+            // A single-candidate planner pins every node to one protocol.
+            let planner = Planner::with_candidates(vec![kind]);
+            let plan = planner
+                .plan(&query, &fed.schemas(), &stats, LeakageBudget::open())
+                .unwrap();
+            assert!(plan.nodes.iter().all(|n| n.protocol.key() == kind.key()));
+            let tables: Vec<&str> = plan.scan_preds.iter().map(|(t, _)| t.as_str()).collect();
+            assert_eq!(tables, pushed_to, "{query}");
+            assert_eq!(plan.residual.pred.is_some(), residual, "{query}");
+            let exec = run(&fed, &plan, &PlanRunOptions::default());
+            let context = format!("{query} via {}", kind.key());
+            assert_same_rows(&exec.result, &want, &context);
+            for n in &exec.nodes {
+                assert!(
+                    n.divergence.within_tolerance(),
+                    "{context} {}: {} ppm on {:?}",
+                    n.label,
+                    n.divergence.max_ppm,
+                    n.divergence.mismatched
+                );
+            }
+            let unified = unified_plan_report(&plan, &exec);
+            assert_eq!(unified.plan.len(), plan.nodes.len());
+            assert_eq!(unified.result_rows, want.len() as u64);
+            assert!(unified.plan.iter().all(|n| n.protocol == kind.key()));
         }
-        let unified = unified_plan_report(&plan, &exec);
-        assert_eq!(unified.plan.len(), plan.nodes.len());
-        assert_eq!(unified.result_rows, want.len() as u64);
-        assert!(unified.plan.iter().all(|n| n.protocol == kind.key()));
     }
 }

@@ -1,14 +1,18 @@
-//! Tests for the request phase (paper Listing 1), in particular the
-//! mediator's credential-subset selection of step 2.
+//! Tests for the request phase (paper Listing 1): the mediator's
+//! credential-subset selection and its query analysis in step 2.
 
 // The byte-accounting check re-encodes recorded frames by hand.
 #![allow(clippy::disallowed_methods)]
 
-use relalg::{Relation, Schema, Type, Value};
+use std::collections::HashMap;
+
+use relalg::{RelError, Relation, Schema, Type, Value};
 use secmed_core::protocol::request_phase;
+use secmed_core::workload::Workload;
 use secmed_core::{
-    AccessPolicy, AccessRule, CertificationAuthority, Client, DataSource, Mediator, Property,
-    Scenario, Transport,
+    AccessPolicy, AccessRule, CertificationAuthority, Client, CommutativeConfig, DasConfig,
+    DataSource, Engine, MedError, Mediator, PmConfig, Property, ProtocolKind, RunOptions, Scenario,
+    ScenarioBuilder, Transport,
 };
 use secmed_crypto::drbg::HmacDrbg;
 use secmed_crypto::group::{GroupSize, SafePrimeGroup};
@@ -126,10 +130,140 @@ fn credential_bytes_on_the_wire_are_exact() {
     assert!(transport.total_bytes() > 0);
 }
 
+/// Sources `r1` and `r2` serving `left` and `right` to any client.
+fn scenario_over(left: Relation, right: Relation) -> Scenario {
+    let expected_join_size = left.natural_join(&right).map_or(0, |j| j.len());
+    let w = Workload {
+        left,
+        right,
+        expected_join_size,
+    };
+    ScenarioBuilder::new(&w)
+        .seed("reqphase/analysis")
+        .group_size(GroupSize::S256)
+        .build()
+}
+
+fn ints(attrs: &[&str], rows: &[&[i64]]) -> Relation {
+    let schema: Vec<(&str, Type)> = attrs.iter().map(|a| (*a, Type::Int)).collect();
+    let rows = rows
+        .iter()
+        .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
+        .collect();
+    Relation::build(Schema::new(&schema), rows).unwrap()
+}
+
+/// `r1(k, name)` and `r2(k, city)`: three join rows, one with name 7.
+fn names_and_cities() -> Scenario {
+    scenario_over(
+        ints(&["k", "name"], &[&[1, 7], &[2, 8], &[3, 9], &[4, 7]]),
+        ints(&["k", "city"], &[&[1, 70], &[3, 80], &[3, 81], &[5, 90]]),
+    )
+}
+
+/// `r1(k, b, v1)` and `r2(k, b, v2)`: two rows agree on `(k, b)`, a third
+/// only on `k`.
+fn two_shared_names() -> Scenario {
+    scenario_over(
+        ints(&["k", "b", "v1"], &[&[1, 1, 10], &[2, 1, 20], &[3, 2, 30]]),
+        ints(&["k", "b", "v2"], &[&[1, 1, 10], &[2, 2, 20], &[3, 2, 30]]),
+    )
+}
+
+/// DAS, commutative and PM, in that order.
+fn protocols() -> [ProtocolKind; 3] {
+    [
+        ProtocolKind::Das(DasConfig::default()),
+        ProtocolKind::Commutative(CommutativeConfig::default()),
+        ProtocolKind::Pm(PmConfig::default()),
+    ]
+}
+
+/// Runs `sql` through `Engine::run` under each of `kinds` and checks each
+/// result against `Algebra::eval` of the same query with its qualifiers
+/// removed, over the scenario's own relations.
+fn assert_runs_like_eval(sc: &mut Scenario, sql: &str, kinds: &[ProtocolKind]) {
+    let unqualified: Vec<&str> = sql
+        .split_whitespace()
+        .map(|w| w.rsplit_once('.').map_or(w, |(_, base)| base))
+        .collect();
+    let catalog = HashMap::from([
+        ("r1".to_string(), sc.left.answer_partial_query(&[]).unwrap()),
+        (
+            "r2".to_string(),
+            sc.right.answer_partial_query(&[]).unwrap(),
+        ),
+    ]);
+    let want = relalg::sql::parse(&unqualified.join(" "))
+        .unwrap()
+        .eval(&catalog)
+        .unwrap()
+        .sorted();
+    assert!(!want.is_empty(), "{sql}: the reference result is empty");
+    sc.query = sql.to_string();
+    for &kind in kinds {
+        let got = Engine::run(sc, &RunOptions::new(kind))
+            .unwrap_or_else(|e| panic!("{sql} via {}: {e}", kind.key()));
+        assert_eq!(got.result.sorted(), want, "{sql} via {}", kind.key());
+    }
+}
+
 #[test]
-fn query_against_unknown_sources_is_rejected() {
-    let mut sc = scenario_with_two_credentials();
-    sc.query = "select * from ghost natural join r2".to_string();
-    let mut transport = Transport::new();
-    assert!(request_phase(&mut sc, &mut transport).is_err());
+fn qualified_columns_and_comma_joins_run_like_the_plaintext_reference() {
+    let mut sc = names_and_cities();
+    for sql in [
+        "select r1.name from r1 natural join r2",
+        "select * from r1, r2 where r1.k = r2.k and r1.name = 7",
+        "select r2.city from r1 join r2 on k = k",
+        "select * from r1 a natural join r2 b where a.name = 7",
+        // A comma join without a WHERE equality is a natural join.
+        "select * from r1, r2",
+    ] {
+        assert_runs_like_eval(&mut sc, sql, &protocols());
+    }
+}
+
+#[test]
+fn a_comma_join_joins_on_every_shared_name() {
+    // The WHERE equality names `k` only; like `eval`, the comma join also
+    // joins on the shared `b`.  DAS indexes a single join attribute, so
+    // only the protocols that take composite keys run it.
+    let sql = "select * from r1, r2 where r1.k = r2.k";
+    assert_runs_like_eval(&mut two_shared_names(), sql, &protocols()[1..]);
+}
+
+#[test]
+fn step_two_refuses_what_is_not_a_two_source_join() {
+    type Check = fn(&MedError) -> bool;
+    let cases: [(Scenario, &str, Check); 4] = [
+        // Joining on `k` alone would carry `b` twice in the result.
+        (
+            two_shared_names(),
+            "select * from r1 join r2 on r1.k = r2.k",
+            |e| matches!(e, MedError::Query(RelError::AmbiguousColumn(_))),
+        ),
+        (names_and_cities(), "select * from r1", |e| {
+            matches!(e, MedError::Protocol(_))
+        }),
+        (
+            names_and_cities(),
+            "select * from ghost natural join r2",
+            |e| matches!(e, MedError::Query(RelError::UnknownAttribute(_))),
+        ),
+        (
+            scenario_over(ints(&["k"], &[&[1]]), ints(&["j"], &[&[1]])),
+            "select * from r1 natural join r2",
+            |e| matches!(e, MedError::Query(RelError::Sql(_))),
+        ),
+    ];
+    for (mut sc, sql, check) in cases {
+        sc.query = sql.to_string();
+        let mut transport = Transport::new();
+        match request_phase(&mut sc, &mut transport) {
+            Ok(_) => panic!("{sql}: accepted"),
+            Err(e) => assert!(check(&e), "{sql}: unexpected error {e}"),
+        }
+        // Only the client's L1.1 frame moved: no partial query went out.
+        assert_eq!(transport.message_count(), 1, "{sql}");
+    }
 }

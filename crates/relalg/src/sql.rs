@@ -6,21 +6,14 @@
 //! 'SQL2Algebra' library".  This module is that library:
 //!
 //! * [`parse`] — SQL text → [`Algebra`] tree,
-//! * [`Algebra::eval`] — evaluate a tree against a catalog of relations,
-//! * [`decompose`] — the mediator's step 2 of Listing 1: split a two-
-//!   relation JOIN query into `select *` partial queries plus a
-//!   [`JoinSpec`], with any residual selection/projection kept for post-
-//!   processing.
-//!
-//! For multi-way queries there are two further entry points feeding the
-//! planner:
-//!
-//! * [`query_graph`] — schema-aware analysis of a parsed tree: tables,
-//!   per-table pushed-down filters, join edges with their attributes, and
-//!   the client-side residual, with typed errors for unknown or ambiguous
-//!   column references,
-//! * [`push_down`] — rewrite a tree so single-table WHERE conjuncts sit
-//!   directly above their scans (selection pushdown).
+//! * [`Algebra::eval`] — evaluate a tree against a catalog of relations
+//!   (the plaintext reference),
+//! * [`query_graph`] — the one query analysis, schema-aware: tables,
+//!   per-table filters, join edges with their attributes, and the client
+//!   residual, with typed errors for unknown or ambiguous column
+//!   references.  The mediator reads Listing 1 step 2 from it (a two-table
+//!   query is a one-edge graph); the planner orders multi-way joins over
+//!   it.
 //!
 //! Supported grammar:
 //!
@@ -30,7 +23,9 @@
 //! table_ref := primary (join_tail)*
 //! join_tail := NATURAL JOIN primary
 //!            | JOIN primary ON col = col (AND col = col)*
-//!            | , primary                -- equi-join via WHERE
+//!            | , primary                -- natural join on the shared
+//!                                       -- names; WHERE equalities add
+//!                                       -- attributes
 //! primary := ident [[AS] ident]        -- optional table alias
 //! cond   := atom (AND atom)*
 //! atom   := operand (= | < | <=) operand
@@ -85,11 +80,10 @@ pub enum Algebra {
         left: Box<Algebra>,
         /// Right input.
         right: Box<Algebra>,
-        /// Explicit join attributes (base names).
+        /// Explicit join attributes (base names).  Empty for `NATURAL
+        /// JOIN` and comma joins, which join on every name both sides
+        /// carry (in the mediator, from the global-schema embedding).
         on: Vec<String>,
-        /// True for `NATURAL JOIN` (join attributes inferred from the
-        /// schemas — in the mediator, from the global-schema embedding).
-        natural: bool,
     },
 }
 
@@ -118,15 +112,10 @@ impl Algebra {
                     aggs.iter().map(|(f, c)| (*f, c.as_str())).collect();
                 rel.aggregate(&groups, &agg_refs)
             }
-            Algebra::Join {
-                left,
-                right,
-                on,
-                natural,
-            } => {
+            Algebra::Join { left, right, on } => {
                 let l = left.eval(catalog)?;
                 let r = right.eval(catalog)?;
-                if *natural || on.is_empty() {
+                if on.is_empty() {
                     l.natural_join(&r)
                 } else {
                     l.join_on(&r, on)
@@ -134,34 +123,6 @@ impl Algebra {
             }
         }
     }
-
-    /// Names of the base relations scanned by this tree.
-    pub fn scans(&self) -> Vec<&str> {
-        match self {
-            Algebra::Scan(name) => vec![name.as_str()],
-            Algebra::Select { input, .. }
-            | Algebra::Project { input, .. }
-            | Algebra::Aggregate { input, .. } => input.scans(),
-            Algebra::Join { left, right, .. } => {
-                let mut s = left.scans();
-                s.extend(right.scans());
-                s
-            }
-        }
-    }
-}
-
-/// The JOIN the mediator must mediate: two source relations and their join
-/// attributes (the paper's `A_join`, generalized to several attributes as
-/// suggested in the future-work section).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinSpec {
-    /// Left relation name (source `S1`).
-    pub left: String,
-    /// Right relation name (source `S2`).
-    pub right: String,
-    /// Join attribute base names.
-    pub attrs: Vec<String>,
 }
 
 /// A GROUP BY clause: grouping columns plus `(function, column)` aggregates.
@@ -179,88 +140,9 @@ pub struct Residual {
     pub aggregate: Option<GroupBy>,
 }
 
-/// The mediator's decomposition: partial queries plus join spec plus
-/// residual client work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Decomposition {
-    /// `select * from <left>` — the partial query `q1`.
-    pub q1: String,
-    /// `select * from <right>` — the partial query `q2`.
-    pub q2: String,
-    /// The JOIN to execute over encrypted partial results.
-    pub join: JoinSpec,
-    /// What remains for the client.
-    pub residual: Residual,
-}
-
 /// Parses SQL text into an algebra tree.
 pub fn parse(sql: &str) -> Result<Algebra, RelError> {
     Parser::new(sql)?.parse_query()
-}
-
-/// Decomposes a parsed two-relation join query (Listing 1, step 2).
-///
-/// Join-attribute equalities in the `WHERE` clause (e.g.
-/// `R1.ssn = R2.ssn`) become join attributes; all other conjuncts and any
-/// projection become the client's residual work.
-pub fn decompose(tree: &Algebra) -> Result<Decomposition, RelError> {
-    // Aggregation and projection are always client-side work in the
-    // mediated setting; the selection is split into join equalities and
-    // residual filters below.
-    let (aggregate, (cols, pred), inner) = peel(tree);
-    let Algebra::Join {
-        left,
-        right,
-        on,
-        natural,
-    } = inner
-    else {
-        return Err(RelError::Sql(
-            "query is not a two-relation join".to_string(),
-        ));
-    };
-    let (Algebra::Scan(l), Algebra::Scan(r)) = (left.as_ref(), right.as_ref()) else {
-        return Err(RelError::Sql(
-            "join inputs must be base relations".to_string(),
-        ));
-    };
-
-    // Split WHERE conjuncts into join equalities and residual filters.
-    let mut attrs = on.clone();
-    let mut residual_pred: Option<Predicate> = None;
-    if let Some(p) = pred {
-        for conjunct in flatten_and(&p) {
-            match join_attr_of(&conjunct, l, r) {
-                Some(a) if !attrs.contains(&a) => attrs.push(a),
-                Some(_) => {}
-                None => {
-                    residual_pred = Some(match residual_pred.take() {
-                        Some(acc) => acc.and(conjunct),
-                        None => conjunct,
-                    });
-                }
-            }
-        }
-    }
-    if attrs.is_empty() && !natural {
-        return Err(RelError::Sql(
-            "no join attribute: use NATURAL JOIN, JOIN..ON, or a WHERE equality".to_string(),
-        ));
-    }
-    Ok(Decomposition {
-        q1: format!("select * from {l}"),
-        q2: format!("select * from {r}"),
-        join: JoinSpec {
-            left: l.clone(),
-            right: r.clone(),
-            attrs,
-        },
-        residual: Residual {
-            pred: residual_pred,
-            cols,
-            aggregate,
-        },
-    })
 }
 
 /// Conjuncts of a predicate (flattening nested ANDs).
@@ -273,24 +155,6 @@ fn flatten_and(p: &Predicate) -> Vec<Predicate> {
         }
         Predicate::True => vec![],
         other => vec![other.clone()],
-    }
-}
-
-/// If `p` is `l.x = r.x` (one column from each relation, equal base names),
-/// returns the base name.
-fn join_attr_of(p: &Predicate, l: &str, r: &str) -> Option<String> {
-    let Predicate::Eq(Operand::Col(a), Operand::Col(b)) = p else {
-        return None;
-    };
-    let (qa, na) = split_qualified(a);
-    let (qb, nb) = split_qualified(b);
-    if na != nb {
-        return None;
-    }
-    match (qa, qb) {
-        (Some(x), Some(y)) if (x == l && y == r) || (x == r && y == l) => Some(na.to_string()),
-        (None, None) => Some(na.to_string()),
-        _ => None,
     }
 }
 
@@ -333,16 +197,10 @@ fn map_columns(
                 .map(|(af, c)| Ok((af, f(&c)?)))
                 .collect::<Result<Vec<_>, RelError>>()?,
         },
-        Algebra::Join {
-            left,
-            right,
-            on,
-            natural,
-        } => Algebra::Join {
+        Algebra::Join { left, right, on } => Algebra::Join {
             left: Box::new(map_columns(*left, f)?),
             right: Box::new(map_columns(*right, f)?),
             on,
-            natural,
         },
     })
 }
@@ -396,7 +254,7 @@ fn pred_columns(p: &Predicate, out: &mut Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
-// Query graph and selection pushdown
+// Query graph
 // ---------------------------------------------------------------------------
 
 /// An equi-join edge between two base relations.
@@ -410,15 +268,17 @@ pub struct JoinEdge {
     pub attrs: Vec<String>,
 }
 
-/// The planner's view of a multi-way query: base tables in FROM order,
-/// pushed-down per-table filters, join edges, and the client residual —
-/// everything expressed with bare attribute names so it can be evaluated
-/// against source relations directly.
+/// The analysed query: base tables in FROM order, per-table filters, join
+/// edges, and the client residual — everything expressed with bare
+/// attribute names so it can be evaluated against source relations
+/// directly.  The mediator reads a two-table query as a one-edge graph;
+/// the planner orders the edges of a multi-way one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryGraph {
     /// Base relations in FROM order.
     pub tables: Vec<String>,
-    /// Per-table pushed-down selections, in FROM order of the table.
+    /// Per-table selections, in FROM order of the table (the planner
+    /// pushes them to the sources; the mediator keeps them client-side).
     pub scan_preds: Vec<(String, Predicate)>,
     /// Equi-join edges.  Every adjacent join in the tree contributes one;
     /// WHERE equalities merge into the edge covering their table pair.
@@ -428,14 +288,6 @@ pub struct QueryGraph {
 }
 
 impl QueryGraph {
-    /// The pushed-down predicate for `table`, if any.
-    pub fn scan_pred(&self, table: &str) -> Option<&Predicate> {
-        self.scan_preds
-            .iter()
-            .find(|(t, _)| t == table)
-            .map(|(_, p)| p)
-    }
-
     /// The join attributes between two tables, regardless of edge
     /// orientation.
     pub fn edge_attrs(&self, a: &str, b: &str) -> Option<&[String]> {
@@ -447,7 +299,7 @@ impl QueryGraph {
 }
 
 /// Per-join-node resolution recorded while walking the tree, in post-order;
-/// drives both edge extraction and the pushdown rebuild.
+/// drives edge extraction and the per-node join-attribute checks.
 #[derive(Debug, Clone)]
 struct JoinNodeInfo {
     left_set: Vec<String>,
@@ -457,128 +309,38 @@ struct JoinNodeInfo {
 
 /// Analyzes a parsed tree against the base-relation schemas.
 ///
-/// Join attributes for `NATURAL JOIN` (and comma-style joins) are inferred
-/// from shared base names, matching [`Algebra::eval`] semantics; WHERE
+/// Join attributes for `NATURAL JOIN` and comma joins are inferred from
+/// shared base names, matching [`Algebra::eval`] semantics; WHERE
 /// equalities between two tables merge into the join edge covering that
 /// pair.  Single-table WHERE conjuncts become `scan_preds`; conjuncts on a
-/// join attribute are pushed to *every* table carrying it (sound for
-/// equi-joins); everything else lands in the residual.  Column references
-/// are validated: unknown names or qualifiers are
+/// join attribute go to *every* table carrying it (sound for equi-joins);
+/// everything else lands in the residual.  Column references are
+/// validated: unknown names or qualifiers are
 /// [`RelError::UnknownAttribute`], and a bare name carried by several
-/// tables that is not a join attribute is [`RelError::AmbiguousColumn`].
+/// tables that is not a join attribute is [`RelError::AmbiguousColumn`] —
+/// as is a join whose two sides share a name it does not join on, since
+/// that name would appear twice in the join's result.
 pub fn query_graph(
     tree: &Algebra,
     schemas: &BTreeMap<String, Schema>,
 ) -> Result<QueryGraph, RelError> {
-    analyze(tree, schemas).map(|(g, _)| g)
-}
-
-/// Rewrites a tree so every single-table WHERE conjunct sits directly above
-/// its scan, join attributes are explicit on every join node, and residual
-/// predicates/columns use bare names.  The result evaluates to the same
-/// relation as the input tree.
-pub fn push_down(tree: &Algebra, schemas: &BTreeMap<String, Schema>) -> Result<Algebra, RelError> {
-    let (graph, nodes) = analyze(tree, schemas)?;
-    // Rebuild the join tree in the original shape, wrapping each scan with
-    // its pushed-down predicate and making every join's attributes
-    // explicit.
-    let (_, _, inner) = peel(tree);
-    let mut counter = 0usize;
-    let mut joined = rebuild(inner, &graph, &nodes, &mut counter)?;
-    if let Some(p) = &graph.residual.pred {
-        joined = Algebra::Select {
-            input: Box::new(joined),
-            pred: p.clone(),
-        };
-    }
-    if let Some(cols) = &graph.residual.cols {
-        if !cols.is_empty() {
-            joined = Algebra::Project {
-                input: Box::new(joined),
-                cols: cols.clone(),
-            };
-        }
-    }
-    if let Some((group_cols, aggs)) = &graph.residual.aggregate {
-        joined = Algebra::Aggregate {
-            input: Box::new(joined),
-            group_cols: group_cols.clone(),
-            aggs: aggs.clone(),
-        };
-    }
-    Ok(joined)
-}
-
-/// Peels `Aggregate(Project(Select(joins)))` layering off the top of a
-/// tree, returning the optional layers and the join tree beneath.
-#[allow(clippy::type_complexity)]
-fn peel(
-    tree: &Algebra,
-) -> (
-    Option<GroupBy>,
-    (Option<Vec<String>>, Option<Predicate>),
-    &Algebra,
-) {
+    // Aggregation, projection and the WHERE clause sit above the joins.
     let (aggregate, tree) = match tree {
         Algebra::Aggregate {
             input,
             group_cols,
             aggs,
-        } => (Some((group_cols.clone(), aggs.clone())), input.as_ref()),
+        } => (Some((group_cols, aggs)), input.as_ref()),
         other => (None, other),
     };
     let (cols, tree) = match tree {
-        Algebra::Project { input, cols } => (Some(cols.clone()), input.as_ref()),
+        Algebra::Project { input, cols } => (Some(cols), input.as_ref()),
         other => (None, other),
     };
-    let (pred, tree) = match tree {
-        Algebra::Select { input, pred } => (Some(pred.clone()), input.as_ref()),
+    let (pred, inner) = match tree {
+        Algebra::Select { input, pred } => (Some(pred), input.as_ref()),
         other => (None, other),
     };
-    (aggregate, (cols, pred), tree)
-}
-
-fn rebuild(
-    node: &Algebra,
-    graph: &QueryGraph,
-    nodes: &[JoinNodeInfo],
-    counter: &mut usize,
-) -> Result<Algebra, RelError> {
-    match node {
-        Algebra::Scan(t) => {
-            let scan = Algebra::Scan(t.clone());
-            Ok(match graph.scan_pred(t) {
-                Some(p) => Algebra::Select {
-                    input: Box::new(scan),
-                    pred: p.clone(),
-                },
-                None => scan,
-            })
-        }
-        Algebra::Join { left, right, .. } => {
-            let l = rebuild(left, graph, nodes, counter)?;
-            let r = rebuild(right, graph, nodes, counter)?;
-            let info = &nodes[*counter];
-            *counter += 1;
-            Ok(Algebra::Join {
-                left: Box::new(l),
-                right: Box::new(r),
-                on: info.on.clone(),
-                natural: false,
-            })
-        }
-        other => Err(RelError::Sql(format!(
-            "unexpected operator inside join tree: {other:?}"
-        ))),
-    }
-}
-
-/// Shared implementation behind [`query_graph`] and [`push_down`].
-fn analyze(
-    tree: &Algebra,
-    schemas: &BTreeMap<String, Schema>,
-) -> Result<(QueryGraph, Vec<JoinNodeInfo>), RelError> {
-    let (aggregate, (cols, pred), inner) = peel(tree);
 
     // Walk the join tree: collect tables and resolve per-node join attrs.
     let mut tables: Vec<String> = Vec::new();
@@ -620,7 +382,7 @@ fn analyze(
     // A join attribute (by base name) is one carried by the `on` list of
     // any join node, or equated across tables in WHERE; a bare reference
     // to it is never ambiguous because the join merges those columns.
-    let conjuncts: Vec<Predicate> = pred.iter().flat_map(flatten_and).collect();
+    let conjuncts: Vec<Predicate> = pred.into_iter().flat_map(flatten_and).collect();
     let mut join_attrs: Vec<String> = nodes.iter().flat_map(|n| n.on.iter().cloned()).collect();
     for c in &conjuncts {
         if let Predicate::Eq(Operand::Col(a), Operand::Col(b)) = c {
@@ -677,13 +439,7 @@ fn analyze(
             scan_preds.push((t.to_string(), p));
         }
     };
-    let mut residual_pred: Option<Predicate> = None;
-    let mut keep_residual = |p: Predicate| {
-        residual_pred = Some(match residual_pred.take() {
-            Some(acc) => acc.and(p),
-            None => p,
-        });
-    };
+    let mut leftover: Vec<Predicate> = Vec::new();
     for conjunct in conjuncts {
         // Cross-table equality: a join edge, possibly strengthening an
         // existing join node.
@@ -698,8 +454,8 @@ fn analyze(
                     )));
                 }
                 add_edge(&ta[0], &tb[0], &na);
-                // Strengthen the lowest join node covering both tables so
-                // the rebuilt tree enforces the equality.
+                // The equality joins the lowest join node covering both
+                // tables on this attribute too.
                 let covering = nodes.iter_mut().find(|info| {
                     let covers = |t: &str| {
                         info.left_set.iter().any(|x| x == t)
@@ -728,7 +484,7 @@ fn analyze(
         }
         let rewritten = map_pred_columns(&conjunct, &bare)?;
         if cols_in.is_empty() {
-            keep_residual(rewritten);
+            leftover.push(rewritten);
             continue;
         }
         // Intersection of carrier sets: tables that carry every column the
@@ -738,7 +494,7 @@ fn analyze(
             common.retain(|t| set.iter().any(|x| x == t));
         }
         match common.len() {
-            0 => keep_residual(rewritten),
+            0 => leftover.push(rewritten),
             1 => push_to(&common[0], rewritten),
             _ => {
                 // Every mentioned column is a join attribute shared by all
@@ -752,7 +508,14 @@ fn analyze(
     }
 
     // Every join node must have attributes by now (explicit, inferred, or
-    // from WHERE).
+    // from WHERE), and must join on every name both sides carry: one left
+    // out would appear twice in the node's result.
+    let names_of = |side: &[String]| -> Vec<String> {
+        side.iter()
+            .filter_map(|t| schemas.get(t))
+            .flat_map(|s| s.attributes().iter().map(|a| a.base_name().to_string()))
+            .collect()
+    };
     for info in &nodes {
         if info.on.is_empty() {
             return Err(RelError::Sql(format!(
@@ -760,6 +523,18 @@ fn analyze(
                  or a WHERE equality",
                 info.left_set.join(", "),
                 info.right_set.join(", ")
+            )));
+        }
+        let right_names = names_of(&info.right_set);
+        if let Some(name) = names_of(&info.left_set)
+            .into_iter()
+            .find(|n| right_names.contains(n) && !info.on.contains(n))
+        {
+            return Err(RelError::AmbiguousColumn(format!(
+                "{name} is carried by {{{}}} and {{{}}}, which join on {} only",
+                info.left_set.join(", "),
+                info.right_set.join(", "),
+                info.on.join(", ")
             )));
         }
     }
@@ -779,19 +554,16 @@ fn analyze(
         })
         .transpose()?;
 
-    Ok((
-        QueryGraph {
-            tables,
-            scan_preds,
-            edges,
-            residual: Residual {
-                pred: residual_pred,
-                cols,
-                aggregate,
-            },
+    Ok(QueryGraph {
+        tables,
+        scan_preds,
+        edges,
+        residual: Residual {
+            pred: leftover.into_iter().reduce(Predicate::and),
+            cols,
+            aggregate,
         },
-        nodes,
-    ))
+    })
 }
 
 /// Post-order walk of the join tree: records tables in FROM order and one
@@ -818,9 +590,7 @@ fn walk_joins(
             tables.push(t.clone());
             Ok(vec![t.clone()])
         }
-        Algebra::Join {
-            left, right, on, ..
-        } => {
+        Algebra::Join { left, right, on } => {
             let left_set = walk_joins(left, schemas, tables, nodes)?;
             let right_set = walk_joins(right, schemas, tables, nodes)?;
             let on = if on.is_empty() {
@@ -1131,8 +901,7 @@ impl Parser {
     /// Rewrites every qualified column reference `q.c` so that `q` is the
     /// underlying relation name, erroring on qualifiers that name no FROM
     /// entry.  Aliases disappear from the tree here; downstream consumers
-    /// (decomposition, the query graph, evaluation) only ever see relation
-    /// names.
+    /// (the query graph, evaluation) only ever see relation names.
     fn resolve_aliases(&self, tree: Algebra) -> Result<Algebra, RelError> {
         map_columns(tree, &|name| {
             let (q, base) = split_qualified(name);
@@ -1198,44 +967,36 @@ impl Parser {
     fn parse_table_ref(&mut self) -> Result<Algebra, RelError> {
         let mut tree = self.parse_primary()?;
         loop {
-            match self.peek() {
+            // A NATURAL JOIN and a comma join both leave `on` empty: they
+            // join on the shared names, and WHERE equalities may add more.
+            let explicit = match self.peek() {
                 Some(Token::Kw(Keyword::Natural)) => {
                     self.next();
                     self.expect_kw(Keyword::Join)?;
-                    let right = self.parse_primary()?;
-                    tree = Algebra::Join {
-                        left: Box::new(tree),
-                        right: Box::new(right),
-                        on: vec![],
-                        natural: true,
-                    };
-                }
-                Some(Token::Kw(Keyword::Join)) => {
-                    self.next();
-                    let right = self.parse_primary()?;
-                    self.expect_kw(Keyword::On)?;
-                    let on = self.parse_on_list()?;
-                    tree = Algebra::Join {
-                        left: Box::new(tree),
-                        right: Box::new(right),
-                        on,
-                        natural: false,
-                    };
+                    false
                 }
                 Some(Token::Comma) => {
                     self.next();
-                    let right = self.parse_primary()?;
-                    // Implicit join; the WHERE equalities (or shared
-                    // attribute names) turn it into an equi-join.
-                    tree = Algebra::Join {
-                        left: Box::new(tree),
-                        right: Box::new(right),
-                        on: vec![],
-                        natural: false,
-                    };
+                    false
+                }
+                Some(Token::Kw(Keyword::Join)) => {
+                    self.next();
+                    true
                 }
                 _ => return Ok(tree),
-            }
+            };
+            let right = self.parse_primary()?;
+            let on = if explicit {
+                self.expect_kw(Keyword::On)?;
+                self.parse_on_list()?
+            } else {
+                Vec::new()
+            };
+            tree = Algebra::Join {
+                left: Box::new(tree),
+                right: Box::new(right),
+                on,
+            };
         }
     }
 
@@ -1383,6 +1144,13 @@ mod tests {
         c
     }
 
+    fn schemas(catalog: &HashMap<String, Relation>) -> BTreeMap<String, Schema> {
+        catalog
+            .iter()
+            .map(|(k, v)| (k.clone(), v.schema().clone()))
+            .collect()
+    }
+
     #[test]
     fn parse_simple_select() {
         let tree = parse("select * from patients").unwrap();
@@ -1442,11 +1210,17 @@ mod tests {
             },
             "qualified refs must carry the relation name, not the alias"
         );
-        let d = parse("select * from patients p, claims c where p.ssn = c.ssn").unwrap();
-        let d = decompose(&d).unwrap();
-        assert_eq!(d.join.left, "patients");
-        assert_eq!(d.join.right, "claims");
-        assert_eq!(d.join.attrs, vec!["ssn"]);
+        let tree = parse("select * from patients p, claims c where p.ssn = c.ssn").unwrap();
+        let g = query_graph(&tree, &schemas(&catalog())).unwrap();
+        assert_eq!(g.tables, vec!["patients", "claims"]);
+        assert_eq!(
+            g.edges,
+            vec![JoinEdge {
+                left: "patients".to_string(),
+                right: "claims".to_string(),
+                attrs: vec!["ssn".to_string()],
+            }]
+        );
     }
 
     #[test]
@@ -1494,10 +1268,7 @@ mod tests {
     #[test]
     fn parse_three_table_chain_is_left_deep() {
         let tree = parse("select * from a join b on a.k = b.k join c on b.j = c.j").unwrap();
-        let Algebra::Join {
-            left, right, on, ..
-        } = &tree
-        else {
+        let Algebra::Join { left, right, on } = &tree else {
             panic!("expected join");
         };
         assert_eq!(on, &vec!["j".to_string()]);
@@ -1512,53 +1283,6 @@ mod tests {
         };
         assert_eq!(**ll, Algebra::Scan("a".to_string()));
         assert_eq!(**lr, Algebra::Scan("b".to_string()));
-        assert_eq!(tree.scans(), vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn decompose_natural_join() {
-        let tree = parse("select * from patients natural join claims").unwrap();
-        let d = decompose(&tree).unwrap();
-        assert_eq!(d.q1, "select * from patients");
-        assert_eq!(d.q2, "select * from claims");
-        assert_eq!(d.join.left, "patients");
-        assert_eq!(d.join.right, "claims");
-        // NATURAL JOIN leaves `attrs` to be inferred from schemas at run
-        // time — here the parse carries no explicit attribute, so attrs
-        // comes from ON/WHERE only.
-        assert!(d.join.attrs.is_empty() || d.join.attrs == vec!["ssn"]);
-    }
-
-    #[test]
-    fn decompose_where_join() {
-        let tree = parse(
-            "select * from patients, claims where patients.ssn = claims.ssn and amount < 600",
-        )
-        .unwrap();
-        let d = decompose(&tree).unwrap();
-        assert_eq!(d.join.attrs, vec!["ssn"]);
-        assert!(d.residual.pred.is_some());
-        assert!(d.residual.cols.is_none());
-    }
-
-    #[test]
-    fn decompose_with_projection() {
-        let tree = parse("select name from patients join claims on ssn = ssn").unwrap();
-        let d = decompose(&tree).unwrap();
-        assert_eq!(d.join.attrs, vec!["ssn"]);
-        assert_eq!(d.residual.cols, Some(vec!["name".to_string()]));
-    }
-
-    #[test]
-    fn decompose_rejects_single_relation() {
-        let tree = parse("select * from patients").unwrap();
-        assert!(decompose(&tree).is_err());
-    }
-
-    #[test]
-    fn decompose_rejects_missing_join_attr() {
-        let tree = parse("select * from patients, claims where amount < 100").unwrap();
-        assert!(decompose(&tree).is_err());
     }
 
     #[test]
@@ -1594,19 +1318,46 @@ mod tests {
     }
 
     #[test]
-    fn decompose_peels_aggregation_into_residual() {
-        let tree = parse("select k, sum(v) from a, b where a.k = b.k group by k").unwrap();
-        let d = decompose(&tree).unwrap();
-        assert_eq!(d.join.attrs, vec!["k"]);
-        let (groups, aggs) = d.residual.aggregate.expect("aggregate residual");
-        assert_eq!(groups, vec!["k"]);
-        assert_eq!(aggs.len(), 1);
-    }
-
-    #[test]
-    fn scans_lists_base_relations() {
-        let tree = parse("select * from a natural join b").unwrap();
-        assert_eq!(tree.scans(), vec!["a", "b"]);
+    fn query_graph_reads_joins_filters_and_residuals() {
+        let schemas = schemas(&catalog());
+        let graph = |sql: &str| query_graph(&parse(sql).unwrap(), &schemas).unwrap();
+        let ssn = Some(&["ssn".to_string()][..]);
+        // A natural join, and a comma join with or without a WHERE
+        // equality, all join on the shared name.
+        for sql in [
+            "select * from patients natural join claims",
+            "select * from patients, claims",
+            "select * from patients, claims where patients.ssn = claims.ssn",
+        ] {
+            let g = graph(sql);
+            assert_eq!(g.tables, vec!["patients", "claims"], "{sql}");
+            assert_eq!(g.edge_attrs("patients", "claims"), ssn, "{sql}");
+            assert_eq!(g.residual, Residual::default(), "{sql}");
+        }
+        // A single-table filter is a scan predicate, not residual work.
+        let g = graph(
+            "select * from patients, claims where patients.ssn = claims.ssn and amount < 600",
+        );
+        assert_eq!(
+            g.scan_preds,
+            vec![(
+                "claims".to_string(),
+                Predicate::Lt(Operand::col("amount"), Operand::lit(600i64))
+            )]
+        );
+        assert_eq!(g.residual, Residual::default());
+        // Projection and aggregation are residual work, with bare names.
+        let g = graph("select patients.name from patients join claims on ssn = ssn");
+        assert_eq!(g.edge_attrs("patients", "claims"), ssn);
+        assert_eq!(g.residual.cols, Some(vec!["name".to_string()]));
+        let g = graph("select ssn, sum(amount) from patients, claims group by ssn");
+        assert_eq!(
+            g.residual.aggregate,
+            Some((
+                vec!["ssn".to_string()],
+                vec![(AggFn::Sum, "amount".to_string())]
+            ))
+        );
     }
 
     /// Chain schemas t0(k0,v0) – t1(k0,k1,v1) – t2(k1,k2,v2).
@@ -1639,8 +1390,11 @@ mod tests {
         assert_eq!(g.edge_attrs("t0", "t2"), None);
         // `v2 < 10` is single-table: pushed to t2, not residual.
         assert_eq!(
-            g.scan_pred("t2"),
-            Some(&Predicate::Lt(Operand::col("v2"), Operand::lit(10i64)))
+            g.scan_preds,
+            vec![(
+                "t2".to_string(),
+                Predicate::Lt(Operand::col("v2"), Operand::lit(10i64))
+            )]
         );
         assert!(g.residual.pred.is_none());
     }
@@ -1650,8 +1404,13 @@ mod tests {
         let tree = parse("select * from t0 natural join t1 where k0 <= 3").unwrap();
         let g = query_graph(&tree, &chain_schemas()).unwrap();
         let expect = Predicate::Le(Operand::col("k0"), Operand::lit(3i64));
-        assert_eq!(g.scan_pred("t0"), Some(&expect));
-        assert_eq!(g.scan_pred("t1"), Some(&expect));
+        assert_eq!(
+            g.scan_preds,
+            vec![
+                ("t0".to_string(), expect.clone()),
+                ("t1".to_string(), expect)
+            ]
+        );
         assert!(g.residual.pred.is_none());
     }
 
@@ -1670,6 +1429,13 @@ mod tests {
             Schema::new(&[("x", Type::Int), ("y", Type::Int), ("vb", Type::Int)]),
         );
         let tree = parse("select * from a join b on a.x = b.x where y < 5").unwrap();
+        assert!(matches!(
+            query_graph(&tree, &schemas),
+            Err(RelError::AmbiguousColumn(_))
+        ));
+        // Without any reference to `y` the join is still refused: its
+        // result would carry `y` twice.
+        let tree = parse("select * from a join b on a.x = b.x").unwrap();
         assert!(matches!(
             query_graph(&tree, &schemas),
             Err(RelError::AmbiguousColumn(_))
@@ -1693,6 +1459,19 @@ mod tests {
             query_graph(&tree, &schemas),
             Err(RelError::UnknownAttribute(_))
         ));
+        // Joins of relations that share no name.
+        for sql in [
+            "select * from t0 natural join t2",
+            "select * from t0, t2 where v0 < 5",
+        ] {
+            assert!(
+                matches!(
+                    query_graph(&parse(sql).unwrap(), &schemas),
+                    Err(RelError::Sql(_))
+                ),
+                "{sql}"
+            );
+        }
     }
 
     #[test]
@@ -1710,71 +1489,5 @@ mod tests {
             Some(&["k0".to_string(), "v0".to_string()][..])
         );
         assert!(g.residual.pred.is_none());
-    }
-
-    #[test]
-    fn push_down_is_result_equivalent() {
-        let mut catalog = HashMap::new();
-        catalog.insert(
-            "t0".to_string(),
-            Relation::build(
-                Schema::new(&[("k0", Type::Int), ("v0", Type::Int)]),
-                vec![
-                    vec![Value::Int(1), Value::Int(10)],
-                    vec![Value::Int(2), Value::Int(20)],
-                    vec![Value::Int(3), Value::Int(30)],
-                ],
-            )
-            .unwrap(),
-        );
-        catalog.insert(
-            "t1".to_string(),
-            Relation::build(
-                Schema::new(&[("k0", Type::Int), ("k1", Type::Int), ("v1", Type::Int)]),
-                vec![
-                    vec![Value::Int(1), Value::Int(7), Value::Int(100)],
-                    vec![Value::Int(2), Value::Int(8), Value::Int(200)],
-                ],
-            )
-            .unwrap(),
-        );
-        catalog.insert(
-            "t2".to_string(),
-            Relation::build(
-                Schema::new(&[("k1", Type::Int), ("v2", Type::Int)]),
-                vec![
-                    vec![Value::Int(7), Value::Int(1000)],
-                    vec![Value::Int(8), Value::Int(2000)],
-                    vec![Value::Int(9), Value::Int(3000)],
-                ],
-            )
-            .unwrap(),
-        );
-        let schemas: BTreeMap<String, Schema> = catalog
-            .iter()
-            .map(|(k, v)| (k.clone(), v.schema().clone()))
-            .collect();
-        let tree =
-            parse("select * from t0 natural join t1 natural join t2 where v0 <= 20 and v2 < 2500")
-                .unwrap();
-        let pushed = push_down(&tree, &schemas).unwrap();
-        let a = tree.eval(&catalog).unwrap();
-        let b = pushed.eval(&catalog).unwrap();
-        assert_eq!(a.schema().attr_names(), b.schema().attr_names());
-        assert_eq!(a.tuples(), b.tuples());
-        assert_eq!(b.len(), 2);
-        // The pushed tree really did move the filters below the joins.
-        fn has_select_above_join(t: &Algebra) -> bool {
-            match t {
-                Algebra::Select { input, .. } => {
-                    matches!(input.as_ref(), Algebra::Join { .. })
-                }
-                Algebra::Project { input, .. } | Algebra::Aggregate { input, .. } => {
-                    has_select_above_join(input)
-                }
-                _ => false,
-            }
-        }
-        assert!(!has_select_above_join(&pushed));
     }
 }

@@ -1,5 +1,4 @@
-//! `Algebra::eval` edge cases: empty relations, composite-key joins, and
-//! pushdown-vs-no-pushdown result equivalence on generated catalogs.
+//! `Algebra::eval` edge cases: empty relations and composite-key joins.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -111,7 +110,7 @@ fn composite_key_join_matches_on_all_attributes() {
     assert_eq!(on_out.tuples(), nat_out.tuples());
     assert_eq!(on_out.schema().attr_names(), vec!["a", "b", "vl", "vr"]);
     // A partial-key join would leave `b` colliding across the two sides;
-    // any reference to it is rejected as ambiguous by the query graph.
+    // the query graph rejects it as ambiguous.
     let partial = sql::parse("select * from l join r on l.a = r.a where b < 5").unwrap();
     assert!(matches!(
         sql::query_graph(&partial, &schemas_of(&catalog)),
@@ -138,67 +137,4 @@ fn composite_key_join_on_empty_intersection() {
     );
     let tree = sql::parse("select * from l natural join r").unwrap();
     assert_eq!(tree.eval(&catalog).unwrap().len(), 0);
-}
-
-/// Seeded chain catalog: t0(k0,v0), t1(k0,k1,v1), ..., each table sharing
-/// key `k{i-1}` with its predecessor.  A small LCG keeps it deterministic
-/// without pulling generator machinery into this crate (the full-featured
-/// version lives in `secmed-testkit::federation`).
-fn chain_catalog(seed: u64, tables: usize, rows: usize) -> HashMap<String, Relation> {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut next = move |bound: u64| {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (state >> 33) % bound
-    };
-    let mut catalog = HashMap::new();
-    for i in 0..tables {
-        let mut attrs: Vec<(String, Type)> = Vec::new();
-        if i > 0 {
-            attrs.push((format!("k{}", i - 1), Type::Int));
-        }
-        if i + 1 < tables {
-            attrs.push((format!("k{i}"), Type::Int));
-        }
-        attrs.push((format!("v{i}"), Type::Int));
-        let refs: Vec<(&str, Type)> = attrs.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let mut body = Vec::new();
-        for _ in 0..rows {
-            // Key domains of width 12 give a controlled, non-trivial
-            // match rate between adjacent tables.
-            body.push(
-                refs.iter()
-                    .map(|(n, _)| {
-                        if n.starts_with('k') {
-                            Value::Int(next(12) as i64)
-                        } else {
-                            Value::Int(next(1000) as i64)
-                        }
-                    })
-                    .collect(),
-            );
-        }
-        catalog.insert(format!("t{i}"), rel(&refs, body).distinct());
-    }
-    catalog
-}
-
-#[test]
-fn pushdown_equivalence_on_generated_catalogs() {
-    for seed in [1u64, 7, 42] {
-        let catalog = chain_catalog(seed, 4, 24);
-        let schemas = schemas_of(&catalog);
-        let q = "select * from t0 natural join t1 natural join t2 natural join t3 \
-                 where v0 <= 900 and v3 < 700 and k1 < 9";
-        let tree = sql::parse(q).unwrap();
-        let pushed = sql::push_down(&tree, &schemas).unwrap();
-        let plain = tree.eval(&catalog).unwrap();
-        let opt = pushed.eval(&catalog).unwrap();
-        assert_eq!(
-            plain.sorted().tuples(),
-            opt.sorted().tuples(),
-            "pushdown changed the result for seed {seed}"
-        );
-    }
 }

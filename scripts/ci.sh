@@ -68,15 +68,18 @@ cargo test -q --offline -p secmed-obs profile::
 cargo test -q --offline -p secmed-obs trajectory::
 cargo test -q --offline -p secmed-core --test observability
 
-# The planner layer, run by name: SQL multi-join analysis and eval edge
-# cases (relalg), join-order/protocol choice under leakage budgets
-# (secmed-plan), and the end-to-end plan execution suite — determinism
-# across thread counts, the budget flip, and the per-node §6
-# predicted-vs-observed divergence gate.
-cargo test -q --offline -p relalg --test algebra_edges
+# The query analysis and the planner layer, run by name: relalg's whole
+# suite (the `query_graph` analysis the mediator and the planner share,
+# and eval edge cases), join-order/protocol choice under leakage budgets
+# (secmed-plan), the end-to-end plan execution suite — determinism across
+# thread counts, the budget flip, and the per-node §6 predicted-vs-observed
+# divergence gate — and core's unit tests, every protocol end to end, the
+# request phase's query analysis, and the zero-ppm census-vs-§6 check.
+cargo test -q --offline -p relalg
 cargo test -q --offline -p secmed-plan
 cargo test -q --offline -p secmed-core --test plan_exec
-echo "planner: relalg edges + plan unit suite + 3-way plan execution ok"
+cargo test -q --offline -p secmed-core --lib --test protocols --test request_phase --test cost_model
+echo "planner: relalg suite + plan unit suite + 3-way plan execution + core protocols ok"
 
 # The BENCH_*.json gate: emit fresh trajectories and compare them with
 # the committed BENCH_core.json and BENCH_resilience.json baselines
