@@ -2,11 +2,13 @@
 //!
 //! * Montgomery vs plain division-based modular exponentiation — justifies
 //!   the Montgomery context every cryptosystem leans on,
+//! * fixed-base tables vs the Montgomery ladder — justifies the `g` table
+//!   every group caches and the recipient table DAS sources build,
 //! * Karatsuba/schoolbook multiplication across operand sizes — justifies
 //!   the threshold in `mpint::mul`,
 //! * Knuth-D division at cryptographic operand sizes.
 
-use mpint::{Montgomery, Natural};
+use mpint::{FixedBase, Montgomery, Natural};
 use secmed_crypto::drbg::HmacDrbg;
 use secmed_obs::bench::{black_box, cli_filter, Bench, Suite};
 
@@ -26,6 +28,12 @@ fn bench_modpow(filter: &Option<String>) {
         let ctx = Montgomery::new(m.clone());
         suite.bench(Bench::new(format!("montgomery/{bits}")), || {
             black_box(ctx.modpow(&base, &exp));
+        });
+        // The table is built once, outside the timed loop, as a group or
+        // a DAS source builds it once per batch.
+        let table = FixedBase::new(&ctx, &base);
+        suite.bench(Bench::new(format!("fixed-base/{bits}")), || {
+            black_box(table.pow(&exp));
         });
         suite.bench(Bench::new(format!("plain-division/{bits}")), || {
             black_box(base.modpow_plain(&exp, &m));

@@ -6,6 +6,11 @@
 //! seems to be the most efficient one to be employed in a secure
 //! mediation system."  This binary measures that claim.
 //!
+//! Each of the 12 configurations runs [`REPEATS`] times, every repeat on a
+//! fresh scenario with the same seed and the same bytes on the wire.  The
+//! first pass prints the table, writes the JSONL and the byte series and
+//! takes the metrics snapshot; the wall series hold every pass.
+//!
 //! Accepts `--threads N` to run the engine's fork-join pool with N
 //! workers; the thread count is recorded in every emitted JSONL record, so
 //! archived measurements are never ambiguous about how they were taken.
@@ -24,6 +29,16 @@ use secmed_obs::json::Json;
 use secmed_obs::metrics;
 use secmed_obs::trajectory::TrajectoryFile;
 
+/// Timed runs per configuration.
+const REPEATS: usize = 5;
+
+/// One configuration's measurements across the passes.
+struct Config {
+    key: String,
+    wall_ns: Vec<f64>,
+    bytes: usize,
+}
+
 fn main() {
     let threads = cli_threads();
     let mut traj = TrajectoryFile::new("core", "report", threads as u64);
@@ -35,8 +50,7 @@ fn main() {
         "rows", "protocol", "time (ms)", "messages", "total bytes", "client bytes", "result"
     );
 
-    let mut jsonl = String::new();
-    for rows in [16usize, 32, 64, 128] {
+    let workloads = [16usize, 32, 64, 128].map(|rows| {
         let w = WorkloadSpec {
             left_rows: rows,
             right_rows: rows,
@@ -47,77 +61,98 @@ fn main() {
             ..Default::default()
         }
         .generate();
+        (rows, w)
+    });
+    let kinds: [(&str, ProtocolKind); 3] = [
+        (
+            "Database-as-a-Service",
+            ProtocolKind::Das(DasConfig::default()),
+        ),
+        (
+            "Commutative Encryption",
+            ProtocolKind::Commutative(CommutativeConfig::default()),
+        ),
+        ("Private Matching", ProtocolKind::Pm(PmConfig::default())),
+    ];
 
-        let kinds: [(&str, ProtocolKind); 3] = [
-            (
-                "Database-as-a-Service",
-                ProtocolKind::Das(DasConfig::default()),
-            ),
-            (
-                "Commutative Encryption",
-                ProtocolKind::Commutative(CommutativeConfig::default()),
-            ),
-            ("Private Matching", ProtocolKind::Pm(PmConfig::default())),
-        ];
+    let runs: Vec<_> = workloads
+        .iter()
+        .flat_map(|(rows, w)| {
+            kinds
+                .iter()
+                .map(move |&(name, kind)| (*rows, w, name, kind))
+        })
+        .collect();
+    let time_run = |w, kind: ProtocolKind| {
+        let mut sc = ScenarioBuilder::new(w)
+            .seed("report")
+            .paillier_bits(512)
+            .build();
+        let start = Instant::now();
+        let report = Engine::run(&mut sc, &RunOptions::new(kind).threads(threads))
+            .expect("protocol run succeeds");
+        let elapsed = start.elapsed();
+        assert_eq!(report.result.len(), w.expected_join_size);
+        (elapsed, report)
+    };
 
-        for (name, kind) in kinds {
-            let mut sc = ScenarioBuilder::new(&w)
-                .seed("report")
-                .paillier_bits(512)
-                .build();
-            let start = Instant::now();
-            let report = Engine::run(&mut sc, &RunOptions::new(kind).threads(threads))
-                .expect("protocol run succeeds");
-            let elapsed = start.elapsed();
-            assert_eq!(report.result.len(), w.expected_join_size);
-            println!(
-                "{:<8} {:<24} {:>12.1} {:>10} {:>12} {:>14} {:>12}",
-                rows,
-                name,
-                elapsed.as_secs_f64() * 1000.0,
-                report.transport.message_count(),
-                report.transport.total_bytes(),
-                report.transport.bytes_received_by(&PartyId::Client),
-                report.result.len(),
-            );
-            // Trajectory rows: wall-clock is machine-local, byte volume
-            // is deterministic and comparable against any baseline.
-            traj.push(
-                &format!("{}/rows{rows}", kind.key()),
-                "ns",
-                vec![elapsed.as_nanos() as f64],
-            );
-            traj.push(
-                &format!("{}/rows{rows}/bytes", kind.key()),
-                "bytes",
-                vec![report.transport.total_bytes() as f64],
-            );
-            jsonl.push_str(
-                &Json::obj([
-                    ("experiment", Json::Str("s6b-report".to_string())),
-                    ("rows", Json::UInt(rows as u64)),
-                    ("protocol", Json::Str(kind.key().to_string())),
-                    ("threads", Json::UInt(threads as u64)),
-                    ("time_ms", Json::Float(elapsed.as_secs_f64() * 1000.0)),
-                    (
-                        "messages",
-                        Json::UInt(report.transport.message_count() as u64),
-                    ),
-                    (
-                        "total_bytes",
-                        Json::UInt(report.transport.total_bytes() as u64),
-                    ),
-                    (
-                        "client_bytes",
-                        Json::UInt(report.transport.bytes_received_by(&PartyId::Client) as u64),
-                    ),
-                    ("result_rows", Json::UInt(report.result.len() as u64)),
-                ])
-                .render(),
-            );
-            jsonl.push('\n');
+    // The first pass: the table, the JSONL, the byte series and the
+    // metrics snapshot.
+    let mut configs: Vec<Config> = Vec::new();
+    let mut jsonl = String::new();
+    for (i, &(rows, w, name, kind)) in runs.iter().enumerate() {
+        let (elapsed, report) = time_run(w, kind);
+        let bytes = report.transport.total_bytes();
+        println!(
+            "{:<8} {:<24} {:>12.1} {:>10} {:>12} {:>14} {:>12}",
+            rows,
+            name,
+            elapsed.as_secs_f64() * 1000.0,
+            report.transport.message_count(),
+            bytes,
+            report.transport.bytes_received_by(&PartyId::Client),
+            report.result.len(),
+        );
+        if (i + 1) % kinds.len() == 0 {
+            println!();
         }
-        println!();
+        configs.push(Config {
+            key: format!("{}/rows{rows}", kind.key()),
+            wall_ns: vec![elapsed.as_nanos() as f64],
+            bytes,
+        });
+        jsonl.push_str(
+            &Json::obj([
+                ("experiment", Json::Str("s6b-report".to_string())),
+                ("rows", Json::UInt(rows as u64)),
+                ("protocol", Json::Str(kind.key().to_string())),
+                ("threads", Json::UInt(threads as u64)),
+                ("time_ms", Json::Float(elapsed.as_secs_f64() * 1000.0)),
+                (
+                    "messages",
+                    Json::UInt(report.transport.message_count() as u64),
+                ),
+                ("total_bytes", Json::UInt(bytes as u64)),
+                (
+                    "client_bytes",
+                    Json::UInt(report.transport.bytes_received_by(&PartyId::Client) as u64),
+                ),
+                ("result_rows", Json::UInt(report.result.len() as u64)),
+            ])
+            .render(),
+        );
+        jsonl.push('\n');
+    }
+    let snapshot = metrics::snapshot();
+
+    // The remaining passes add wall samples over the same bytes.
+    for pass in 1..REPEATS {
+        for (c, &(_, w, _, kind)) in configs.iter_mut().zip(&runs) {
+            let (elapsed, report) = time_run(w, kind);
+            let bytes = report.transport.total_bytes();
+            assert_eq!(bytes, c.bytes, "{}: bytes differ in pass {pass}", c.key);
+            c.wall_ns.push(elapsed.as_nanos() as f64);
+        }
     }
 
     let out_dir = PathBuf::from("target/bench");
@@ -126,9 +161,15 @@ fn main() {
     fs::write(&path, jsonl).expect("write report JSONL");
     println!("jsonl: {}", path.display());
 
+    // Trajectory rows: wall-clock is machine-local, byte volume is
+    // deterministic and comparable against any baseline.
+    for c in configs {
+        traj.push(&c.key, "ns", c.wall_ns);
+        traj.push(&format!("{}/bytes", c.key), "bytes", vec![c.bytes as f64]);
+    }
     // The performance trajectory, with the process's metrics registry
     // split into deterministic (portable) and timing (machine-local).
-    traj.set_metrics(&metrics::snapshot());
+    traj.set_metrics(&snapshot);
     let bench_path = traj.write_under(&out_dir).expect("write BENCH_core.json");
     println!("bench: {}", bench_path.display());
 }

@@ -226,14 +226,16 @@ pub fn deliver<F: Fabric>(
         ));
     };
 
-    // Step 7: client decrypts RC and applies the client query.
+    // Step 7: client decrypts RC on the pool and applies the client query.
+    // Decryption draws no randomness, and the pool returns the error of
+    // the first failing pair, as a sequential loop would.
     let mut post = secmed_obs::span("das.post");
-    let mut candidates: Vec<(Tuple, Tuple)> = Vec::with_capacity(pairs.len());
-    for (l, r) in &pairs {
-        let lt = decode_tuple(&sc.client.hybrid().decrypt(&l.etuple)?)?;
-        let rt = decode_tuple(&sc.client.hybrid().decrypt(&r.etuple)?)?;
-        candidates.push((lt, rt));
-    }
+    let client = sc.client.hybrid();
+    let candidates: Vec<(Tuple, Tuple)> = pool.try_par_map(&pairs, |_, (l, r)| {
+        let lt = decode_tuple(&client.decrypt(&l.etuple)?)?;
+        let rt = decode_tuple(&client.decrypt(&r.etuple)?)?;
+        Ok::<_, MedError>((lt, rt))
+    })?;
     let joined = assemble_from_candidates(
         p.left_partial.schema(),
         p.right_partial.schema(),
@@ -303,11 +305,13 @@ fn source_prepare(
     let attr_idx = partial.schema().index_of(attr)?;
     // Per-tuple hybrid encryption runs on the pool; each tuple draws from
     // its own DRBG stream so the ciphertexts are independent of both the
-    // schedule and the thread count.
+    // schedule and the thread count.  Every encryption is for the one
+    // client key, so its recipient table is built once, for this call.
+    let client_key = client_pk.prepare();
     let streams = DrbgFamily::derive(src.rng());
     let rows = pool.try_par_map(partial.tuples(), |i, t| {
         let mut rng = streams.stream(i as u64);
-        let etuple = client_pk.encrypt(&encode_tuple(t), &mut rng);
+        let etuple = client_key.encrypt(&encode_tuple(t), &mut rng);
         let index = table.index_of(t.at(attr_idx))?;
         Ok::<DasRow, MedError>(DasRow { etuple, index })
     })?;
@@ -315,6 +319,6 @@ fn source_prepare(
     for row in rows {
         encrypted.push(row);
     }
-    let enc_table = client_pk.encrypt(&table.encode(), src.rng());
+    let enc_table = client_key.encrypt(&table.encode(), src.rng());
     Ok((encrypted, table, enc_table))
 }

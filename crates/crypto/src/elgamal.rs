@@ -6,7 +6,7 @@
 //! session key as `KDF(pk^r) = KDF(g^(x*r))`.
 
 use mpint::rng::Rng;
-use mpint::Natural;
+use mpint::{FixedBase, Natural};
 
 use crate::group::SafePrimeGroup;
 use crate::hmac::kdf;
@@ -79,10 +79,24 @@ impl ElGamalPublicKey {
     /// Encapsulates a fresh shared secret; returns the public encapsulation
     /// and `key_len` derived key bytes.
     pub fn encapsulate(&self, key_len: usize, rng: &mut dyn Rng) -> (Encapsulation, Vec<u8>) {
+        self.encapsulate_with(None, key_len, rng)
+    }
+
+    /// [`ElGamalPublicKey::encapsulate`], taking `y^r` from `y_table`
+    /// (a fixed-base table for this key's element) when one is given.
+    pub(crate) fn encapsulate_with(
+        &self,
+        y_table: Option<&FixedBase>,
+        key_len: usize,
+        rng: &mut dyn Rng,
+    ) -> (Encapsulation, Vec<u8>) {
         count(Op::KemEncapsulate);
         let r = self.group.random_exponent(rng);
         let c = self.group.pow_g(&r);
-        let shared = self.group.pow(&self.y, &r);
+        let shared = match y_table {
+            Some(table) => table.pow(&r),
+            None => self.group.pow(&self.y, &r),
+        };
         let key = derive_key(&shared, &c, key_len);
         (Encapsulation { c }, key)
     }

@@ -9,22 +9,54 @@
 //! Generating large safe primes is expensive, so [`SafePrimeGroup::preset`]
 //! ships precomputed parameters (generated by this crate itself and
 //! re-certified by the test suite) for the common sizes.
+//!
+//! A group carries its Montgomery context and a fixed-base table for `g`,
+//! shared by every clone.  Both are pure functions of `(p, g)`; each
+//! preset builds them once per process.
+
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use mpint::prime::{gen_safe_prime, is_probable_prime};
 use mpint::random::random_below;
 use mpint::rng::Rng;
-use mpint::{Int, Natural, Sign};
+use mpint::{FixedBase, Int, Montgomery, Natural, Sign};
 
 use crate::metrics::{count, Op};
 use crate::sha256::Sha256;
 
 /// Parameters of a safe-prime group: modulus `p = 2q + 1` and a generator
 /// `g` of the order-`q` subgroup of quadratic residues.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares `(p, q, g)`; the cached table is derived from them.
+#[derive(Clone)]
 pub struct SafePrimeGroup {
     p: Natural,
     q: Natural,
     g: Natural,
+    /// The fixed-base table for `g`, which also owns the Montgomery
+    /// context modulo `p`.
+    g_table: Arc<FixedBase>,
+}
+
+impl PartialEq for SafePrimeGroup {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.p, &self.q, &self.g) == (&other.p, &other.q, &other.g)
+    }
+}
+
+impl Eq for SafePrimeGroup {}
+
+/// Prints the parameters, never the table: groups sit inside every key's
+/// `Debug`.
+impl fmt::Debug for SafePrimeGroup {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SafePrimeGroup")
+            .field("p", &self.p)
+            .field("q", &self.q)
+            .field("g", &self.g)
+            .finish()
+    }
 }
 
 /// Preset parameter sizes with precomputed moduli.
@@ -63,19 +95,26 @@ mod presets {
 }
 
 impl SafePrimeGroup {
-    /// Loads a precomputed group of the given size.
+    /// Loads a precomputed group of the given size.  The first call per
+    /// size builds the group's context and `g` table; every later call
+    /// clones it and shares them.
     pub fn preset(size: GroupSize) -> Self {
-        let hex = match size {
-            GroupSize::S256 => presets::P256,
-            GroupSize::S512 => presets::P512,
-            GroupSize::S768 => presets::P768,
-            GroupSize::S1024 => presets::P1024,
+        static PRESETS: [OnceLock<SafePrimeGroup>; 4] = [const { OnceLock::new() }; 4];
+        let (slot, hex) = match size {
+            GroupSize::S256 => (0, presets::P256),
+            GroupSize::S512 => (1, presets::P512),
+            GroupSize::S768 => (2, presets::P768),
+            GroupSize::S1024 => (3, presets::P1024),
         };
-        // lint:allow(panic-freedom) -- the preset hex files are compiled
-        // into the binary via include_str!; a parse failure is a build
-        // corruption, not a runtime input, and is caught by unit tests.
-        let p = Natural::from_hex(hex.trim()).expect("preset hex parses");
-        Self::from_safe_prime(p)
+        PRESETS[slot]
+            .get_or_init(|| {
+                // lint:allow(panic-freedom) -- the preset hex files are compiled
+                // into the binary via include_str!; a parse failure is a build
+                // corruption, not a runtime input, and is caught by unit tests.
+                let p = Natural::from_hex(hex.trim()).expect("preset hex parses");
+                Self::from_safe_prime(p)
+            })
+            .clone()
     }
 
     /// Generates a fresh group with a `bits`-bit safe prime.  Slow for
@@ -96,7 +135,8 @@ impl SafePrimeGroup {
         let q = (&p - &Natural::one()).shr_bits(1);
         debug_assert!(p.is_odd() && q.is_odd() || q == Natural::from(2u64));
         let g = Natural::from(4u64);
-        SafePrimeGroup { p, q, g }
+        let g_table = Arc::new(FixedBase::new(&Montgomery::new(p.clone()), &g));
+        SafePrimeGroup { p, q, g, g_table }
     }
 
     /// The modulus `p`.
@@ -119,14 +159,22 @@ impl SafePrimeGroup {
         self.p.bit_len()
     }
 
-    /// `g^x mod p`.
-    pub fn pow_g(&self, x: &Natural) -> Natural {
-        self.g.modpow(x, &self.p)
+    /// The cached Montgomery context modulo `p`.
+    pub(crate) fn context(&self) -> &Montgomery {
+        self.g_table.context()
     }
 
-    /// `base^x mod p`.
+    /// `g^x mod p`, from the fixed-base table: one product per 4-bit
+    /// window of `p`, whatever `x`.
+    pub fn pow_g(&self, x: &Natural) -> Natural {
+        self.g_table.pow(x)
+    }
+
+    /// `base^x mod p` in a fixed operation sequence over
+    /// `max(bits(q), bits(x))` exponent bits, so a secret exponent below
+    /// `q` (an SRA key, a KEM secret) does not shape the product count.
     pub fn pow(&self, base: &Natural, x: &Natural) -> Natural {
-        base.modpow(x, &self.p)
+        self.context().modpow_fixed(base, x, self.q.bit_len())
     }
 
     /// A uniformly random exponent in `[1, q)`.
@@ -143,7 +191,7 @@ impl SafePrimeGroup {
 
     /// Is `x` an element of `QR_p` (the order-`q` subgroup)?
     pub fn is_subgroup_element(&self, x: &Natural) -> bool {
-        !x.is_zero() && x < &self.p && x.modpow(&self.q, &self.p).is_one()
+        !x.is_zero() && x < &self.p && self.context().modpow(x, &self.q).is_one()
     }
 
     /// Hashes an arbitrary byte string into the quadratic-residue subgroup.
@@ -210,6 +258,27 @@ mod tests {
             let g = SafePrimeGroup::preset(size);
             assert_eq!(g.bits(), size.bits(), "{size:?}");
             assert!(g.certify(&mut rng), "{size:?} fails certification");
+        }
+    }
+
+    #[test]
+    fn presets_share_one_table_and_match_the_generic_ladder() {
+        let mut rng = HmacDrbg::from_label("pow-g");
+        for size in [
+            GroupSize::S256,
+            GroupSize::S512,
+            GroupSize::S768,
+            GroupSize::S1024,
+        ] {
+            let group = SafePrimeGroup::preset(size);
+            let again = SafePrimeGroup::preset(size);
+            assert!(Arc::ptr_eq(&group.g_table, &again.g_table), "{size:?}");
+            for _ in 0..4 {
+                let x = group.random_exponent(&mut rng);
+                assert_eq!(group.pow_g(&x), group.context().modpow(group.g(), &x));
+            }
+            let debug = format!("{group:?}");
+            assert!(debug.len() < 1024, "{size:?}: {} bytes", debug.len());
         }
     }
 

@@ -12,7 +12,7 @@
 //! keys ride inside the homomorphic polynomial payload.
 
 use mpint::rng::Rng;
-use mpint::Natural;
+use mpint::{FixedBase, Natural};
 
 use crate::chacha20::ChaCha20;
 use crate::elgamal::{ElGamalKeyPair, ElGamalPublicKey, Encapsulation};
@@ -31,6 +31,16 @@ pub struct HybridKeyPair {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HybridPublicKey {
     kem: ElGamalPublicKey,
+}
+
+/// A public key prepared for many encryptions: it holds a fixed-base
+/// table for the recipient element `y`, so each KEM encapsulation takes
+/// `y^r` from the table.  Building the table costs about four
+/// exponentiations; it pays off for a batch, like a DAS source encrypting
+/// every tuple of its partial result for one client.
+pub struct PreparedHybridKey<'a> {
+    key: &'a HybridPublicKey,
+    y_table: FixedBase,
 }
 
 /// A hybrid ciphertext: KEM encapsulation + nonce + body + MAC.
@@ -97,8 +107,25 @@ impl HybridPublicKey {
     /// The paper's `encrypt(...)`: fresh session key via KEM, ChaCha20
     /// payload encryption, HMAC over nonce and body.
     pub fn encrypt(&self, plaintext: &[u8], rng: &mut dyn Rng) -> HybridCiphertext {
+        self.encrypt_with(None, plaintext, rng)
+    }
+
+    /// Builds the recipient table for a batch of encryptions under this key.
+    pub fn prepare(&self) -> PreparedHybridKey<'_> {
+        PreparedHybridKey {
+            key: self,
+            y_table: FixedBase::new(self.group().context(), self.element()),
+        }
+    }
+
+    fn encrypt_with(
+        &self,
+        y_table: Option<&FixedBase>,
+        plaintext: &[u8],
+        rng: &mut dyn Rng,
+    ) -> HybridCiphertext {
         count(Op::HybridEncrypt);
-        let (encap, keys) = self.kem.encapsulate(64, rng);
+        let (encap, keys) = self.kem.encapsulate_with(y_table, 64, rng);
         let (enc_key, mac_key) = split_keys(&keys);
         let mut nonce = [0u8; 12];
         rng.fill_bytes(&mut nonce);
@@ -110,6 +137,14 @@ impl HybridPublicKey {
             body,
             mac,
         }
+    }
+}
+
+impl PreparedHybridKey<'_> {
+    /// [`HybridPublicKey::encrypt`] with `y^r` from the table: the same
+    /// DRBG draws, census bumps and ciphertext bytes.
+    pub fn encrypt(&self, plaintext: &[u8], rng: &mut dyn Rng) -> HybridCiphertext {
+        self.key.encrypt_with(Some(&self.y_table), plaintext, rng)
     }
 }
 
@@ -400,6 +435,35 @@ mod tests {
         let decoded = SessionCiphertext::decode(&ct.encode()).unwrap();
         assert_eq!(key.decrypt(&decoded).unwrap(), b"tuple set");
         assert!(SessionCiphertext::decode(&ct.encode()[..10]).is_err());
+    }
+
+    /// `f`'s result and the census of the primitives it ran.
+    fn censused<T>(f: impl FnOnce() -> T) -> (T, Vec<(Op, u64)>) {
+        let run = secmed_obs::run::open(false, crate::metrics::registry_counters());
+        let out = f();
+        (out, crate::metrics::census(run.census()))
+    }
+
+    #[test]
+    fn prepared_key_encrypts_byte_for_byte_like_the_key() {
+        let (kp, _) = setup();
+        let pk = kp.public();
+        let prepared = pk.prepare();
+        let mut plaintexts: Vec<Vec<u8>> = (0..4).map(|n| vec![0xa5; n]).collect();
+        plaintexts.push((0..100).collect());
+        for pt in &plaintexts {
+            // Two DRBGs in the same state.
+            let label = format!("prepared-{}", pt.len());
+            let (mut a, mut b) = (HmacDrbg::from_label(&label), HmacDrbg::from_label(&label));
+            let (plain, plain_ops) = censused(|| pk.encrypt(pt, &mut a));
+            let (table, table_ops) = censused(|| prepared.encrypt(pt, &mut b));
+            assert!(plain_ops.contains(&(Op::HybridEncrypt, 1)));
+            assert!(plain_ops.contains(&(Op::KemEncapsulate, 1)));
+            assert_eq!(plain.encode(), table.encode(), "len {}", pt.len());
+            assert_eq!(plain_ops, table_ops);
+            assert_eq!(a.next_u64(), b.next_u64(), "same DRBG draws");
+            assert_eq!(kp.decrypt(&table).unwrap(), *pt);
+        }
     }
 
     #[test]

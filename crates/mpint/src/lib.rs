@@ -12,7 +12,7 @@
 //!   Algorithm D division,
 //! * [`Int`] — a signed wrapper used by the extended Euclidean algorithm,
 //! * modular arithmetic ([`modular`]) including Montgomery-form windowed
-//!   exponentiation,
+//!   exponentiation and fixed-base tables,
 //! * number theory ([`numtheory`]): gcd, extended gcd, modular inverse,
 //!   Jacobi symbol,
 //! * probabilistic prime and safe-prime generation ([`prime`]),
@@ -49,7 +49,7 @@ pub mod random;
 pub mod rng;
 
 pub use int::{Int, Sign};
-pub use modular::Montgomery;
+pub use modular::{FixedBase, Montgomery};
 pub use natural::Natural;
 
 /// Error type for fallible conversions and parsing.

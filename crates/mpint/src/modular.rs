@@ -1,11 +1,13 @@
-//! Modular arithmetic: reduction-based helpers and Montgomery-form
-//! windowed exponentiation for odd moduli.
+//! Modular arithmetic: reduction-based helpers, Montgomery-form windowed
+//! exponentiation for odd moduli, and fixed-base tables.
 //!
 //! The cryptosystems in this workspace spend nearly all of their time in
-//! [`Natural::modpow`]; the [`Montgomery`] context exists so that repeated
-//! exponentiations against the same modulus (the common case: a fixed group
-//! or Paillier modulus) avoid a full division per multiplication.  The
-//! `benches/mpint.rs` ablation quantifies the speedup.
+//! modular exponentiation.  The [`Montgomery`] context exists so that
+//! repeated exponentiations against the same modulus (the common case: a
+//! fixed group or Paillier modulus) avoid a full division per
+//! multiplication; a [`FixedBase`] table goes further for a base known in
+//! advance (a group generator, a recipient's public key) and drops the
+//! squarings altogether.  The `benches/mpint.rs` ablation quantifies both.
 
 use crate::natural::Natural;
 
@@ -131,15 +133,21 @@ impl Montgomery {
         self.mont_mul(a, &Natural::one())
     }
 
+    /// Montgomery product `a * b * R^{-1} mod n` via CIOS.
+    pub fn mont_mul(&self, a: &Natural, b: &Natural) -> Natural {
+        self.mont_mul_limbs(a.limbs(), b.limbs())
+    }
+
     // CIOS interleaves reads and writes at shifted indices; indexed loops
     // are the canonical presentation of the algorithm.
     #[allow(clippy::needless_range_loop)]
-    /// Montgomery product `a * b * R^{-1} mod n` via CIOS.
-    pub fn mont_mul(&self, a: &Natural, b: &Natural) -> Natural {
+    /// [`Montgomery::mont_mul`] over raw little-endian limbs, so that a
+    /// [`FixedBase`] entry multiplies in place of its flat table.
+    fn mont_mul_limbs(&self, a_limbs: &[u64], b_limbs: &[u64]) -> Natural {
+        #[cfg(test)]
+        tests::PRODUCTS.with(|c| c.set(c.get() + 1));
         let k = self.limbs;
         let n = self.n.limbs();
-        let a_limbs = a.limbs();
-        let b_limbs = b.limbs();
         // t has k+2 limbs: accumulator for the interleaved product/reduction.
         let mut t = vec![0u64; k + 2];
         for i in 0..k {
@@ -177,48 +185,197 @@ impl Montgomery {
     }
 
     /// `base^exp mod n` using a fixed 4-bit window over Montgomery residues.
+    ///
+    /// The ladder runs `exp.bit_len() / 4` windows and skips the product
+    /// on a zero nibble, so its operation count follows the exponent: use
+    /// it for public exponents (Paillier's `r^n`, Miller–Rabin) and
+    /// [`Montgomery::modpow_fixed`] for secret ones.
     pub fn modpow(&self, base: &Natural, exp: &Natural) -> Natural {
         if exp.is_zero() {
             return Natural::one().rem(&self.n);
         }
-        let base_m = self.to_mont(base);
-        // Precompute base^0..base^15 in Montgomery form.
-        let mut table = Vec::with_capacity(16);
-        table.push(self.r1.clone());
-        for i in 1..16 {
-            let prev: &Natural = &table[i - 1];
-            table.push(self.mont_mul(prev, &base_m));
-        }
-        let bits = exp.bit_len();
+        let table = self.window_table(base);
         // Process exponent in 4-bit windows, most significant first.
-        let windows = bits.div_ceil(4);
         let mut acc = self.r1.clone();
-        for w in (0..windows).rev() {
+        for w in (0..exp.bit_len().div_ceil(4)).rev() {
             for _ in 0..4 {
                 acc = self.mont_mul(&acc, &acc);
             }
-            let mut nib = 0usize;
-            for b in 0..4 {
-                let bit_idx = w * 4 + (3 - b);
-                nib <<= 1;
-                if bit_idx < bits && exp.bit(bit_idx) {
-                    nib |= 1;
-                }
-            }
+            let nib = nibble(exp, w);
             if nib != 0 {
                 acc = self.mont_mul(&acc, &table[nib]);
             }
         }
         self.from_mont(&acc)
     }
+
+    /// `base^exp mod n` in an operation sequence fixed by the public
+    /// `width` alone: `ceil(width / 4)` windows of four squarings and one
+    /// table product each, the product with entry 0 (the Montgomery one)
+    /// included.  An exponent wider than `width` runs at its own width.
+    pub fn modpow_fixed(&self, base: &Natural, exp: &Natural, width: u64) -> Natural {
+        let table = self.window_table(base);
+        let mut acc = self.r1.clone();
+        for w in (0..width.max(exp.bit_len()).div_ceil(4)).rev() {
+            for _ in 0..4 {
+                acc = self.mont_mul(&acc, &acc);
+            }
+            acc = self.mont_mul(&acc, &table[nibble(exp, w)]);
+        }
+        self.from_mont(&acc)
+    }
+
+    /// `base^0 ..= base^15` in Montgomery form.
+    fn window_table(&self, base: &Natural) -> Vec<Natural> {
+        let base_m = self.to_mont(base);
+        let mut table = Vec::with_capacity(16);
+        table.push(self.r1.clone());
+        for i in 1..16 {
+            let prev: &Natural = &table[i - 1];
+            table.push(self.mont_mul(prev, &base_m));
+        }
+        table
+    }
+}
+
+/// Nibble `w` (bits `4w .. 4w + 4`) of `exp`; a nibble never straddles a
+/// limb.
+fn nibble(exp: &Natural, w: u64) -> usize {
+    let bit = 4 * w;
+    let limb = exp.limbs().get((bit / 64) as usize).copied().unwrap_or(0);
+    ((limb >> (bit % 64)) & 0xf) as usize
+}
+
+/// A fixed-base exponentiation table for one base `b` modulo the odd `n`
+/// of a [`Montgomery`] context.
+///
+/// It holds `b^(j * 16^i)` in Montgomery form for every 4-bit window `i`
+/// of the modulus width and every nibble `j`, as one flat vector of
+/// `windows * 16 * k` limbs (`k` the modulus limb count): 128 KiB for a
+/// 512-bit modulus.  [`FixedBase::pow`] then takes one Montgomery product
+/// per window and no squarings (128 products at 512 bits, against about
+/// 650 for [`Montgomery::modpow`]).  Building the table costs 16 products
+/// per window, so it pays off from the fourth exponentiation on.
+pub struct FixedBase {
+    ctx: Montgomery,
+    /// `b mod n`, for exponents wider than the table.
+    base: Natural,
+    windows: u64,
+    table: Vec<u64>,
+}
+
+impl FixedBase {
+    /// Builds the table for `base` under `ctx`.
+    pub fn new(ctx: &Montgomery, base: &Natural) -> Self {
+        let k = ctx.limbs;
+        let windows = ctx.n.bit_len().div_ceil(4);
+        let mut table = Vec::with_capacity(windows as usize * 16 * k);
+        // `step` is b^(16^i); the entries of window i are its powers 0..16,
+        // and the sixteenth is the next window's step.
+        let mut step = ctx.to_mont(base);
+        for _ in 0..windows {
+            let mut entry = ctx.r1.clone();
+            for _ in 0..16 {
+                let limbs = entry.limbs();
+                table.extend_from_slice(limbs);
+                table.resize(table.len() + k - limbs.len(), 0);
+                entry = ctx.mont_mul(&entry, &step);
+            }
+            step = entry;
+        }
+        FixedBase {
+            ctx: ctx.clone(),
+            base: base.rem(&ctx.n),
+            windows,
+            table,
+        }
+    }
+
+    /// The context the table was built under.
+    pub fn context(&self) -> &Montgomery {
+        &self.ctx
+    }
+
+    /// `b^exp mod n`: one product per window, entry 0 included, so the
+    /// operation sequence is the same for every exponent the table covers.
+    /// An exponent wider than the table (the modulus width rounded up to
+    /// whole nibbles) falls back to [`Montgomery::modpow`].
+    pub fn pow(&self, exp: &Natural) -> Natural {
+        if exp.bit_len() > 4 * self.windows {
+            return self.ctx.modpow(&self.base, exp);
+        }
+        let k = self.ctx.limbs;
+        let mut acc = self.ctx.r1.clone();
+        for w in 0..self.windows {
+            let at = (w as usize * 16 + nibble(exp, w)) * k;
+            acc = self
+                .ctx
+                .mont_mul_limbs(acc.limbs(), &self.table[at..at + k]);
+        }
+        self.ctx.from_mont(&acc)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::random_bits;
+    use crate::rng::SplitMix64;
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Montgomery products taken on this thread.
+        pub(super) static PRODUCTS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The result of `f` and the Montgomery products it took.
+    fn counted(f: impl FnOnce() -> Natural) -> (Natural, u64) {
+        PRODUCTS.with(|c| c.set(0));
+        let out = f();
+        (out, PRODUCTS.with(Cell::get))
+    }
 
     fn n(v: u128) -> Natural {
         Natural::from(v)
+    }
+
+    #[test]
+    fn secret_exponent_paths_take_one_product_count() {
+        let mut rng = SplitMix64::seed_from_u64(7);
+        let mut modulus = random_bits(&mut rng, 256);
+        modulus.set_bit(0, true);
+        let w = modulus.bit_len();
+        let ctx = Montgomery::new(modulus.clone());
+        let base = random_bits(&mut rng, 200);
+        let table = FixedBase::new(&ctx, &base);
+        let mut exps = vec![
+            n(0),
+            n(1),
+            Natural::one().shl_bits(w - 1),
+            Natural::one().shl_bits(w) - Natural::one(),
+        ];
+        exps.extend((0..4).map(|_| random_bits(&mut rng, w)));
+        let (mut ladder, mut fixed, mut tabled) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        for e in &exps {
+            let want = base.modpow_plain(e, &modulus);
+            let (got, count) = counted(|| ctx.modpow(&base, e));
+            assert_eq!(got, want);
+            ladder.insert(count);
+            let (got, count) = counted(|| ctx.modpow_fixed(&base, e, w));
+            assert_eq!(got, want, "fixed shape, e={e}");
+            fixed.insert(count);
+            let (got, count) = counted(|| table.pow(e));
+            assert_eq!(got, want, "fixed base, e={e}");
+            tabled.insert(count);
+        }
+        assert!(ladder.len() > 1, "the ladder's count follows the exponent");
+        // 16 table entries (15 products + to_mont), 4 squarings and one
+        // product per window, from_mont.
+        assert_eq!(fixed, BTreeSet::from([1 + 15 + 5 * w.div_ceil(4) + 1]));
+        // One product per window, from_mont.
+        assert_eq!(tabled, BTreeSet::from([w.div_ceil(4) + 1]));
     }
 
     #[test]

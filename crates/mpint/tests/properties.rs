@@ -274,6 +274,32 @@ fn montgomery_matches_plain_on_random_odd_moduli() {
 }
 
 #[test]
+fn fixed_base_matches_plain_on_random_odd_moduli() {
+    cases(
+        DEFAULT_CASES,
+        "fixed_base_matches_plain_on_random_odd_moduli",
+        |g| {
+            use mpint::{FixedBase, Montgomery};
+            let limbs = g.usize_in(1, 8);
+            let mut m = Natural::from_limbs(g.vec_of(limbs, |g| g.u64()));
+            m.set_bit(0, true);
+            if m.is_one() {
+                return;
+            }
+            let base = natural(g);
+            let table = FixedBase::new(&Montgomery::new(m.clone()), &base);
+            // The table covers the modulus width rounded up to whole nibbles.
+            let width = m.bit_len().div_ceil(4) * 4;
+            let all_ones = Natural::one().shl_bits(width) - Natural::one();
+            let wider = Natural::one().shl_bits(width) + natural(g);
+            for e in [Natural::zero(), Natural::one(), all_ones, wider, natural(g)] {
+                assert_eq!(table.pow(&e), base.modpow_plain(&e, &m), "e={e}");
+            }
+        },
+    );
+}
+
+#[test]
 fn prime_generation_sizes_hold() {
     cases(DEFAULT_CASES, "prime_generation_sizes_hold", |g| {
         let bits = 8 + g.u64_below(32);

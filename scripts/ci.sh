@@ -29,6 +29,12 @@ cargo test -q --offline -p secmed-core --test determinism
 # golden vectors must match the codec byte for byte.
 cargo test -q --offline -p secmed-wire --test golden_vectors
 
+# The arithmetic and crypto substrates, run whole: mpint's Montgomery and
+# fixed-base properties and its fixed-shape product counts, the group
+# presets and their shared tables, the hybrid/ElGamal units (a prepared key
+# encrypts byte for byte like the key), and the DAS index and server join.
+cargo test -q --offline -p mpint -p secmed-crypto -p secmed-das
+
 # The fault fabric's invariants, run by name: 64 seeded fault plans per
 # protocol, checked for typed outcomes, schedule-independent fault
 # logs, and exact byte accounting under retransmission.
