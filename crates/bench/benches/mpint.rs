@@ -5,8 +5,7 @@
 //! * fixed-base tables vs the Montgomery ladder — justifies the `g` table
 //!   every group caches and the recipient table DAS sources build,
 //! * Karatsuba/schoolbook multiplication across operand sizes — justifies
-//!   the threshold in `mpint::mul`,
-//! * Knuth-D division at cryptographic operand sizes.
+//!   the threshold in `mpint::mul`.
 
 use mpint::{FixedBase, Montgomery, Natural};
 use secmed_crypto::drbg::HmacDrbg;
@@ -55,22 +54,8 @@ fn bench_mul(filter: &Option<String>) {
     suite.finish();
 }
 
-fn bench_div(filter: &Option<String>) {
-    let mut rng = HmacDrbg::from_label("bench-div");
-    let mut suite = Suite::new("div_rem").filter(filter.clone());
-    for (nbits, dbits) in [(1024u64, 512u64), (2048, 1024)] {
-        let a = mpint::random::random_bits(&mut rng, nbits);
-        let b = mpint::random::random_bits(&mut rng, dbits);
-        suite.bench(Bench::new(format!("knuth-d/{nbits}/{dbits}")), || {
-            black_box(a.div_rem(&b));
-        });
-    }
-    suite.finish();
-}
-
 fn main() {
     let filter = cli_filter();
     bench_modpow(&filter);
     bench_mul(&filter);
-    bench_div(&filter);
 }

@@ -115,18 +115,18 @@ fn main() {
         results
             .iter()
             .find(|r| r.name.starts_with(stem) && r.name.ends_with("/t1"))
-            .map(|r| r.mean_ns)
+            .map(|r| r.summary.mean)
     };
 
     let mut jsonl = String::new();
     for r in &results {
-        let speedup = baseline(&r.name).map(|b| b / r.mean_ns);
+        let speedup = baseline(&r.name).map(|b| b / r.summary.mean);
         jsonl.push_str(
             &Json::obj([
                 ("experiment", Json::Str("pool-scaling".to_string())),
                 ("name", Json::Str(r.name.clone())),
-                ("mean_ns", Json::Float(r.mean_ns)),
-                ("median_ns", Json::Float(r.median_ns)),
+                ("mean_ns", Json::Float(r.summary.mean)),
+                ("median_ns", Json::Float(r.summary.median)),
                 ("speedup_vs_t1", speedup.map_or(Json::Null, Json::Float)),
                 ("available_parallelism", Json::UInt(cores as u64)),
             ])

@@ -1,83 +1,13 @@
-//! Microbenchmarks for every cryptographic primitive the protocols invoke
-//! (the cost model behind Table 2 / §6 of the paper).
+//! The two primitive ablations EXPERIMENTS.md cites: Paillier CRT vs
+//! textbook decryption, and exponential ElGamal vs Paillier (the paper's
+//! alternative §5 instantiation).  Per-call costs of the other primitives
+//! are the repository benchmark's `crypto.*_us` calibrations.
 
 use mpint::Natural;
-use secmed_crypto::chacha20::ChaCha20;
 use secmed_crypto::drbg::HmacDrbg;
 use secmed_crypto::group::{GroupSize, SafePrimeGroup};
-use secmed_crypto::hmac::hmac_sha256;
-use secmed_crypto::hybrid::HybridKeyPair;
 use secmed_crypto::paillier::Paillier;
-use secmed_crypto::schnorr::SchnorrKeyPair;
-use secmed_crypto::sha256::sha256;
-use secmed_crypto::{SraCipher, SraDomain};
 use secmed_obs::bench::{black_box, cli_filter, Bench, Suite};
-
-fn bench_hash_and_cipher(filter: &Option<String>) {
-    let mut suite = Suite::new("symmetric").filter(filter.clone());
-    for size in [64usize, 1024, 16384] {
-        let data = vec![0xabu8; size];
-        suite.bench(
-            Bench::new(format!("sha256/{size}")).throughput_bytes(size as u64),
-            || {
-                black_box(sha256(&data));
-            },
-        );
-        let key = [7u8; 32];
-        let nonce = [1u8; 12];
-        suite.bench(
-            Bench::new(format!("chacha20/{size}")).throughput_bytes(size as u64),
-            || {
-                black_box(ChaCha20::new(&key, &nonce).apply(&data));
-            },
-        );
-        suite.bench(
-            Bench::new(format!("hmac-sha256/{size}")).throughput_bytes(size as u64),
-            || {
-                black_box(hmac_sha256(b"key", &data));
-            },
-        );
-    }
-    suite.finish();
-}
-
-fn bench_hybrid(filter: &Option<String>) {
-    let mut rng = HmacDrbg::from_label("bench-hybrid");
-    let mut suite = Suite::new("hybrid").filter(filter.clone());
-    for bits in [GroupSize::S512, GroupSize::S1024] {
-        let kp = HybridKeyPair::generate(SafePrimeGroup::preset(bits), &mut rng);
-        let msg = vec![0x42u8; 256];
-        suite.bench(Bench::new(format!("encrypt-256B/{}", bits.bits())), || {
-            black_box(kp.public().encrypt(&msg, &mut rng));
-        });
-        let ct = kp.public().encrypt(&msg, &mut rng);
-        suite.bench(Bench::new(format!("decrypt-256B/{}", bits.bits())), || {
-            black_box(kp.decrypt(&ct).unwrap());
-        });
-    }
-    suite.finish();
-}
-
-fn bench_sra(filter: &Option<String>) {
-    let mut rng = HmacDrbg::from_label("bench-sra");
-    let mut suite = Suite::new("commutative").filter(filter.clone());
-    for bits in [GroupSize::S512, GroupSize::S1024] {
-        let domain = SraDomain::new(SafePrimeGroup::preset(bits));
-        let cipher = SraCipher::generate(domain.clone(), &mut rng);
-        let x = domain.hash(b"join-value");
-        suite.bench(Bench::new(format!("hash-to-group/{}", bits.bits())), || {
-            black_box(domain.hash(b"join-value"));
-        });
-        suite.bench(Bench::new(format!("encrypt/{}", bits.bits())), || {
-            black_box(cipher.encrypt(&x));
-        });
-        let y = cipher.encrypt(&x);
-        suite.bench(Bench::new(format!("decrypt/{}", bits.bits())), || {
-            black_box(cipher.decrypt(&y));
-        });
-    }
-    suite.finish();
-}
 
 fn bench_paillier(filter: &Option<String>) {
     let mut rng = HmacDrbg::from_label("bench-paillier");
@@ -133,27 +63,8 @@ fn bench_exp_elgamal(filter: &Option<String>) {
     suite.finish();
 }
 
-fn bench_schnorr(filter: &Option<String>) {
-    let mut rng = HmacDrbg::from_label("bench-schnorr");
-    let kp = SchnorrKeyPair::generate(SafePrimeGroup::preset(GroupSize::S512), &mut rng);
-    let msg = b"credential: role=physician, dept=cardiology";
-    let mut suite = Suite::new("schnorr").filter(filter.clone());
-    suite.bench(Bench::new("sign"), || {
-        black_box(kp.sign(msg, &mut rng));
-    });
-    let sig = kp.sign(msg, &mut rng);
-    suite.bench(Bench::new("verify"), || {
-        black_box(kp.public().verify(msg, &sig));
-    });
-    suite.finish();
-}
-
 fn main() {
     let filter = cli_filter();
-    bench_hash_and_cipher(&filter);
-    bench_hybrid(&filter);
-    bench_sra(&filter);
     bench_paillier(&filter);
     bench_exp_elgamal(&filter);
-    bench_schnorr(&filter);
 }

@@ -1,151 +1,49 @@
 //! `BENCH_*.json` regression gate.
 //!
-//! Validates a freshly emitted trajectory file against schema version 1
-//! and, optionally, against a committed baseline:
+//! Run from the repository root, without arguments.  Pairs every fresh
+//! `target/bench/BENCH_<suite>.json` with the committed baseline of the
+//! same name at the root, validates both against schema version 1 and
+//! holds the fresh file to [`trajectory::compare`]: the same series and
+//! units, deterministic series and metrics exactly, wall-clock medians
+//! within [`trajectory::MAX_WALL_RATIO`] × the baseline's.  A file on
+//! either side without its partner fails.
 //!
-//! ```text
-//! bench_check FILE [--require NAME]... [--require-timing NAME]...
-//!             [--baseline FILE] [--max-ratio R]
-//! ```
-//!
-//! * `--require NAME` — the file must contain a bench series `NAME`
-//!   (repeatable).
-//! * `--require-timing NAME` — like `--require`, but the series must also
-//!   be *declared* as wall-clock (`"ns"`), i.e. one the baseline compare
-//!   treats ratio-wise and never byte-exactly.  Guards against a timing
-//!   series being accidentally re-declared deterministic, which would
-//!   make CI flaky on machine variance.
-//! * `--baseline FILE` — compare against a baseline trajectory.  For every
-//!   series present in both files: deterministic units (anything but
-//!   `"ns"`) must match the baseline median *exactly*; wall-clock series
-//!   (`"ns"`) must keep `fresh ≤ baseline × R` (`--max-ratio`, default
-//!   `2.0` — generous because CI machines vary; the trajectory history is
-//!   the fine-grained record).
-//!
-//! Exit status 0 iff every check passes; each failure prints one line.
+//! Exit status 0 iff every file passes; each failure prints one line
+//! naming the file and the series or counter.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::ExitCode;
 
-use secmed_obs::json::Json;
 use secmed_obs::trajectory;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: bench_check FILE [--require NAME]... [--require-timing NAME]... \
-         [--baseline FILE] [--max-ratio R]"
-    );
-    ExitCode::from(2)
-}
+/// Where the bench bins write their trajectories.
+const FRESH_DIR: &str = "target/bench";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut file: Option<String> = None;
-    let mut required: Vec<String> = Vec::new();
-    let mut required_timing: Vec<String> = Vec::new();
-    let mut baseline: Option<String> = None;
-    let mut max_ratio = 2.0f64;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--require" => match it.next() {
-                Some(name) => required.push(name.clone()),
-                None => return usage(),
-            },
-            "--require-timing" => match it.next() {
-                Some(name) => required_timing.push(name.clone()),
-                None => return usage(),
-            },
-            "--baseline" => match it.next() {
-                Some(path) => baseline = Some(path.clone()),
-                None => return usage(),
-            },
-            "--max-ratio" => match it.next().and_then(|r| r.parse::<f64>().ok()) {
-                Some(r) if r > 0.0 => max_ratio = r,
-                _ => return usage(),
-            },
-            _ if file.is_none() && !arg.starts_with("--") => file = Some(arg.clone()),
-            _ => return usage(),
-        }
+    if std::env::args().len() > 1 {
+        eprintln!("usage: bench_check (no arguments; run from the repository root)");
+        return ExitCode::from(2);
     }
-    let Some(file) = file else { return usage() };
-
+    let fresh = bench_files(Path::new(FRESH_DIR));
+    let committed = bench_files(Path::new("."));
     let mut failures: Vec<String> = Vec::new();
-    let doc = match trajectory::load(Path::new(&file)) {
-        Ok(doc) => doc,
-        Err(errors) => {
-            for e in errors {
-                eprintln!("FAIL {file}: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    let names = trajectory::bench_names(&doc);
-    println!(
-        "{file}: schema v{} ok, suite {:?}, {} series",
-        trajectory::SCHEMA_VERSION,
-        doc.get("suite").and_then(Json::as_str).unwrap_or("?"),
-        names.len()
-    );
-
-    for name in &required {
-        if !names.iter().any(|n| n == name) {
-            failures.push(format!("required series {name:?} is missing"));
-        }
-    }
-
-    for name in &required_timing {
-        if !names.iter().any(|n| n == name) {
-            failures.push(format!("required timing series {name:?} is missing"));
-        } else {
-            let unit = unit_of(&doc, name);
-            if unit != "ns" {
-                failures.push(format!(
-                    "{name}: declared unit {unit:?}, expected \"ns\" — wall-clock \
-                     must stay a timing series or baseline compares become flaky"
-                ));
-            }
-        }
-    }
-
-    if let Some(baseline) = baseline {
-        match trajectory::load(Path::new(&baseline)) {
-            Err(errors) => {
-                for e in errors {
-                    failures.push(format!("baseline {baseline}: {e}"));
-                }
-            }
-            Ok(base) => {
-                let mut compared = 0usize;
-                for name in &names {
-                    let (Some(fresh), Some(old)) = (
-                        trajectory::bench_median(&doc, name),
-                        trajectory::bench_median(&base, name),
-                    ) else {
-                        continue;
-                    };
-                    let unit = unit_of(&doc, name);
-                    compared += 1;
-                    if unit == "ns" {
-                        if old > 0.0 && fresh > old * max_ratio {
-                            failures.push(format!(
-                                "{name}: {fresh:.0} ns exceeds baseline {old:.0} ns × {max_ratio}"
-                            ));
-                        }
-                    } else if fresh != old {
-                        failures.push(format!(
-                            "{name}: deterministic series changed, {fresh} != baseline {old} ({unit})"
-                        ));
-                    }
-                }
-                println!("compared {compared} series against {baseline} (max ratio {max_ratio})");
-            }
-        }
+    for name in fresh.union(&committed) {
+        let fresh_path = Path::new(FRESH_DIR).join(name);
+        let diffs = match (fresh.contains(name), committed.contains(name)) {
+            (true, false) => vec![format!(
+                "{} has no committed baseline",
+                fresh_path.display()
+            )],
+            (false, _) => vec![format!("no fresh {} to compare", fresh_path.display())],
+            (true, true) => check(&fresh_path, Path::new(name)),
+        };
+        println!("{name}: {} difference(s) from the baseline", diffs.len());
+        failures.extend(diffs.into_iter().map(|d| format!("{name}: {d}")));
     }
 
     if failures.is_empty() {
-        println!("bench_check: ok");
+        println!("bench_check: {} file(s) match their baselines", fresh.len());
         ExitCode::SUCCESS
     } else {
         for f in &failures {
@@ -155,16 +53,28 @@ fn main() -> ExitCode {
     }
 }
 
-/// The declared unit of a named series (empty if absent).
-fn unit_of(doc: &Json, name: &str) -> String {
-    doc.get("benches")
-        .and_then(Json::as_array)
-        .and_then(|benches| {
-            benches
-                .iter()
-                .find(|b| b.get("name").and_then(Json::as_str) == Some(name))
-        })
-        .and_then(|b| b.get("unit").and_then(Json::as_str))
-        .unwrap_or("")
-        .to_string()
+/// Every difference between a fresh file and its baseline: schema
+/// violations on either side, else [`trajectory::compare`]'s lines.
+fn check(fresh: &Path, baseline: &Path) -> Vec<String> {
+    match (trajectory::load(fresh), trajectory::load(baseline)) {
+        (Ok(now), Ok(then)) => trajectory::compare(&now, &then),
+        (now, then) => [("fresh", now), ("baseline", then)]
+            .into_iter()
+            .flat_map(|(side, doc)| {
+                let errors = doc.err().unwrap_or_default();
+                errors.into_iter().map(move |e| format!("{side}: {e}"))
+            })
+            .collect(),
+    }
+}
+
+/// The `BENCH_*.json` file names directly under `dir` (none if it is
+/// missing).
+fn bench_files(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect()
 }

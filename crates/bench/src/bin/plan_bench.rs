@@ -1,15 +1,15 @@
-//! Planner bench: deterministic planning series plus throughput timing.
+//! Planner bench: deterministic planning series plus planning wall time.
 //!
 //! Plans seeded chain federations of growing width (3, 4, and 5 tables)
 //! under an open leakage budget and emits
-//! `target/bench/BENCH_plan.json` in the PR 6 trajectory format:
+//! `target/bench/BENCH_plan.json`:
 //!
 //! * `plan/nodes`, `plan/cost`, `plan/est_rows` — one sample per
 //!   federation width, all pure functions of the seeded inputs, so the
 //!   series is byte-exact across machines and comparable against any
 //!   baseline,
-//! * `plan/wall` (ns) and `plan/plans_per_sec` — machine-local timing of
-//!   repeated planning rounds over all three widths.
+//! * `plan/wall` (ns) — machine-local timing of repeated planning rounds
+//!   over all three widths.
 //!
 //! ```text
 //! plan_bench [ROUNDS]
@@ -89,7 +89,6 @@ fn main() {
     traj.push("plan/cost", "ops", cost);
     traj.push("plan/est_rows", "rows", est_rows);
     traj.push("plan/wall", "ns", vec![wall.as_nanos() as f64]);
-    traj.push("plan/plans_per_sec", "hz", vec![rate]);
     let path = traj
         .write_under(&PathBuf::from("target/bench"))
         .expect("write BENCH_plan.json");

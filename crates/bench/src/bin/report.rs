@@ -8,15 +8,15 @@
 //!
 //! Each of the 12 configurations runs [`REPEATS`] times, every repeat on a
 //! fresh scenario with the same seed and the same bytes on the wire.  The
-//! first pass prints the table, writes the JSONL and the byte series and
-//! takes the metrics snapshot; the wall series hold every pass.
+//! first pass prints the table, records the byte series and takes the
+//! metrics snapshot; the wall series hold every pass.  Everything lands in
+//! `target/bench/BENCH_core.json`.
 //!
 //! Accepts `--threads N` to run the engine's fork-join pool with N
-//! workers; the thread count is recorded in every emitted JSONL record, so
-//! archived measurements are never ambiguous about how they were taken.
+//! workers; the thread count is recorded in the emitted file, so archived
+//! measurements are never ambiguous about how they were taken.
 
-use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
 use secmed_core::workload::WorkloadSpec;
@@ -25,7 +25,6 @@ use secmed_core::{
     ScenarioBuilder,
 };
 use secmed_obs::bench::cli_threads;
-use secmed_obs::json::Json;
 use secmed_obs::metrics;
 use secmed_obs::trajectory::TrajectoryFile;
 
@@ -96,10 +95,8 @@ fn main() {
         (elapsed, report)
     };
 
-    // The first pass: the table, the JSONL, the byte series and the
-    // metrics snapshot.
+    // The first pass: the table, the byte series and the metrics snapshot.
     let mut configs: Vec<Config> = Vec::new();
-    let mut jsonl = String::new();
     for (i, &(rows, w, name, kind)) in runs.iter().enumerate() {
         let (elapsed, report) = time_run(w, kind);
         let bytes = report.transport.total_bytes();
@@ -121,27 +118,6 @@ fn main() {
             wall_ns: vec![elapsed.as_nanos() as f64],
             bytes,
         });
-        jsonl.push_str(
-            &Json::obj([
-                ("experiment", Json::Str("s6b-report".to_string())),
-                ("rows", Json::UInt(rows as u64)),
-                ("protocol", Json::Str(kind.key().to_string())),
-                ("threads", Json::UInt(threads as u64)),
-                ("time_ms", Json::Float(elapsed.as_secs_f64() * 1000.0)),
-                (
-                    "messages",
-                    Json::UInt(report.transport.message_count() as u64),
-                ),
-                ("total_bytes", Json::UInt(bytes as u64)),
-                (
-                    "client_bytes",
-                    Json::UInt(report.transport.bytes_received_by(&PartyId::Client) as u64),
-                ),
-                ("result_rows", Json::UInt(report.result.len() as u64)),
-            ])
-            .render(),
-        );
-        jsonl.push('\n');
     }
     let snapshot = metrics::snapshot();
 
@@ -155,12 +131,6 @@ fn main() {
         }
     }
 
-    let out_dir = PathBuf::from("target/bench");
-    fs::create_dir_all(&out_dir).expect("create target/bench");
-    let path = out_dir.join("report.jsonl");
-    fs::write(&path, jsonl).expect("write report JSONL");
-    println!("jsonl: {}", path.display());
-
     // Trajectory rows: wall-clock is machine-local, byte volume is
     // deterministic and comparable against any baseline.
     for c in configs {
@@ -170,6 +140,8 @@ fn main() {
     // The performance trajectory, with the process's metrics registry
     // split into deterministic (portable) and timing (machine-local).
     traj.set_metrics(&snapshot);
-    let bench_path = traj.write_under(&out_dir).expect("write BENCH_core.json");
+    let bench_path = traj
+        .write_under(Path::new("target/bench"))
+        .expect("write BENCH_core.json");
     println!("bench: {}", bench_path.display());
 }

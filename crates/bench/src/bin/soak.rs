@@ -8,10 +8,10 @@
 //! Every session must end `Clean`; afterwards the server ledger must
 //! show exactly `N` completed sessions and an empty session table.
 //!
-//! Emits `target/bench/BENCH_soak.json` in the PR 6 trajectory format:
-//! sessions/sec and total wall-clock as timing series (machine-local),
-//! the per-session byte volumes as a deterministic series (comparable
-//! against any baseline).
+//! Emits `target/bench/BENCH_soak.json`: the session count and the
+//! per-session byte volumes as deterministic series, total wall-clock as
+//! a timing series (machine-local).  Every session runs the engine's
+//! default single-worker pool, so the file records one thread.
 //!
 //! ```text
 //! soak [SESSIONS]
@@ -100,10 +100,9 @@ fn main() {
         total_bytes as u64
     );
 
-    let mut traj = TrajectoryFile::new("soak", "soak", sessions);
+    let mut traj = TrajectoryFile::new("soak", "soak", 1);
     traj.push("soak/sessions", "count", vec![sessions as f64]);
     traj.push("soak/wall", "ns", vec![wall.as_nanos() as f64]);
-    traj.push("soak/sessions_per_sec", "hz", vec![rate]);
     traj.push("soak/session/bytes", "bytes", per_session_bytes);
     traj.set_metrics(&metrics::snapshot());
     let path = traj

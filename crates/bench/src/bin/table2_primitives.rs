@@ -1,9 +1,9 @@
 //! Regenerates **Table 2** of the paper — "Applied cryptographic
 //! primitives" — from operation counters: runs each protocol and prints
-//! the primitives that were *actually invoked*, with counts.
+//! the primitives that were *actually invoked*, with counts, and records
+//! them as `target/bench/BENCH_table2.json`.
 
-use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 use secmed_core::workload::WorkloadSpec;
 use secmed_core::{
@@ -11,7 +11,6 @@ use secmed_core::{
 };
 use secmed_crypto::metrics::Snapshot;
 use secmed_obs::bench::cli_threads;
-use secmed_obs::json::Json;
 use secmed_obs::metrics;
 use secmed_obs::trajectory::TrajectoryFile;
 
@@ -49,7 +48,6 @@ fn main() {
         ),
     ];
 
-    let mut jsonl = String::new();
     for (name, paper, kind) in rows {
         let mut sc = ScenarioBuilder::new(&w)
             .seed("table2")
@@ -77,33 +75,11 @@ fn main() {
             );
         }
         println!("\n");
-        jsonl.push_str(
-            &Json::obj([
-                ("experiment", Json::Str("table2-primitives".to_string())),
-                ("protocol", Json::Str(kind.key().to_string())),
-                ("threads", Json::UInt(threads as u64)),
-                (
-                    "primitives",
-                    Json::obj(
-                        report
-                            .primitives
-                            .iter()
-                            .map(|(op, count)| (op.name(), Json::UInt(*count))),
-                    ),
-                ),
-            ])
-            .render(),
-        );
-        jsonl.push('\n');
     }
 
-    let out_dir = PathBuf::from("target/bench");
-    fs::create_dir_all(&out_dir).expect("create target/bench");
-    let path = out_dir.join("table2_primitives.jsonl");
-    fs::write(&path, jsonl).expect("write table2 JSONL");
-    println!("jsonl: {}", path.display());
-
     traj.set_metrics(&metrics::snapshot());
-    let bench_path = traj.write_under(&out_dir).expect("write BENCH_table2.json");
+    let bench_path = traj
+        .write_under(Path::new("target/bench"))
+        .expect("write BENCH_table2.json");
     println!("bench: {}", bench_path.display());
 }

@@ -1,8 +1,8 @@
 //! The `secmed-lint` binary: scans the workspace, ratchets findings
 //! against the committed `lint-baseline.json`, prints violations as
-//! `file:line: rule-id: message`, writes `target/obs/lint.jsonl` and a
-//! `BENCH_lint.json` wall-time trajectory, and exits non-zero (with a
-//! rule → count summary table) when the ratchet fails.
+//! `file:line: rule-id: message`, writes `target/obs/lint.jsonl`, and
+//! exits non-zero (with a rule → count summary table) when the ratchet
+//! fails.
 //!
 //! ```text
 //! secmed-lint [ROOT] [--threads N] [--bless-baseline]
@@ -21,8 +21,6 @@ use std::process::ExitCode;
 
 use secmed_lint::baseline::Baseline;
 use secmed_lint::{gate_workspace, BASELINE_FILE};
-use secmed_obs::metrics::{self, Class};
-use secmed_obs::trajectory::TrajectoryFile;
 
 fn main() -> ExitCode {
     let args = match Args::parse() {
@@ -40,9 +38,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // Wall time is recorded as a *timing*-class series: analyzer speed is
-    // machine-local and must never gate the deterministic bench compare.
-    let timer = metrics::start_timer("lint.wall");
     let gate = match gate_workspace(&root, args.threads) {
         Ok(gate) => gate,
         Err(err) => {
@@ -50,9 +45,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    drop(timer);
 
-    write_reports(&root, &gate.outcome, args.threads);
+    write_report(&root, &gate.outcome);
 
     if args.bless_baseline {
         let path = root.join(BASELINE_FILE);
@@ -98,10 +92,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Writes `target/obs/lint.jsonl` and `target/bench/BENCH_lint.json`.
-/// Report failures are warnings, not gate failures: the findings were
-/// already printed.
-fn write_reports(root: &Path, outcome: &secmed_lint::RunOutcome, threads: usize) {
+/// Writes `target/obs/lint.jsonl`.  A write failure is a warning, not a
+/// gate failure: the findings are printed either way.
+fn write_report(root: &Path, outcome: &secmed_lint::RunOutcome) {
     let report_path = root.join("target/obs/lint.jsonl");
     if let Some(dir) = report_path.parent() {
         let _ = fs::create_dir_all(dir);
@@ -111,14 +104,6 @@ fn write_reports(root: &Path, outcome: &secmed_lint::RunOutcome, threads: usize)
             "secmed-lint: writing {} failed: {err}",
             report_path.display()
         );
-    }
-
-    let wall_ns = metrics::histogram(Class::Timing, "lint.wall").load().max();
-    let mut traj = TrajectoryFile::new("lint", "secmed-lint", threads as u64);
-    traj.push("lint/wall", "ns", vec![wall_ns as f64]);
-    traj.set_metrics(&metrics::snapshot());
-    if let Err(err) = traj.write_under(&root.join("target/bench")) {
-        eprintln!("secmed-lint: writing BENCH_lint.json failed: {err}");
     }
 }
 

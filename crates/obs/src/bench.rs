@@ -4,7 +4,7 @@
 //! framework: warmup, batch-size calibration (so per-sample timing swamps
 //! timer overhead even for nanosecond-scale operations), a fixed number of
 //! timed samples, and summary statistics (mean, median, standard deviation,
-//! min, max, optional throughput).
+//! min, max).
 //!
 //! Benches are ordinary binaries (`harness = false`): build a [`Bench`]
 //! per measurement, `run` it with a closure, and print the returned
@@ -16,11 +16,15 @@
 
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
 use crate::report::format_ns;
+use crate::trajectory::Summary;
 
 /// Re-export of the compiler optimization barrier used by benches.
 pub use std::hint::black_box;
+
+/// Minimum wall-clock duration of one sample: the batch size (iterations
+/// per sample) is calibrated so a sample takes at least this long.
+const MIN_SAMPLE: Duration = Duration::from_millis(1);
 
 /// Configuration for one measurement.
 #[derive(Debug, Clone)]
@@ -31,12 +35,6 @@ pub struct Bench {
     pub warmup: Duration,
     /// Number of timed samples to collect.
     pub samples: usize,
-    /// Minimum wall-clock duration of one sample; the batch size (iterations
-    /// per sample) is calibrated so a sample takes at least this long.
-    pub min_sample: Duration,
-    /// When set, results additionally report bytes/second computed from
-    /// this many bytes processed per iteration.
-    pub throughput_bytes: Option<u64>,
 }
 
 impl Bench {
@@ -47,8 +45,6 @@ impl Bench {
             name: name.into(),
             warmup: Duration::from_millis(100),
             samples: 20,
-            min_sample: Duration::from_millis(1),
-            throughput_bytes: None,
         }
     }
 
@@ -61,19 +57,6 @@ impl Bench {
     /// Sets the warmup duration.
     pub fn warmup(mut self, d: Duration) -> Self {
         self.warmup = d;
-        self
-    }
-
-    /// Sets the minimum per-sample duration.
-    pub fn min_sample(mut self, d: Duration) -> Self {
-        self.min_sample = d;
-        self
-    }
-
-    /// Declares the number of bytes processed per iteration, enabling
-    /// throughput reporting.
-    pub fn throughput_bytes(mut self, bytes: u64) -> Self {
-        self.throughput_bytes = Some(bytes);
         self
     }
 
@@ -97,8 +80,8 @@ impl Bench {
         let per_iter_estimate = warm_start.elapsed().as_nanos() as u64 / iters_warm.max(1);
 
         // Calibration: batch enough iterations that one sample meets
-        // `min_sample`, so Instant overhead stays in the noise.
-        let min_sample_ns = self.min_sample.as_nanos() as u64;
+        // `MIN_SAMPLE`, so Instant overhead stays in the noise.
+        let min_sample_ns = MIN_SAMPLE.as_nanos() as u64;
         let batch = (min_sample_ns / per_iter_estimate.max(1)).clamp(1, 1 << 24);
 
         let mut samples_ns: Vec<f64> = Vec::with_capacity(self.samples);
@@ -111,12 +94,16 @@ impl Bench {
             samples_ns.push(elapsed / batch as f64);
         }
 
-        BenchResult::from_samples(self.name, batch, samples_ns, self.throughput_bytes)
+        BenchResult {
+            name: self.name,
+            batch,
+            summary: Summary::of(&samples_ns),
+            samples_ns,
+        }
     }
 }
 
-/// Summary statistics for one measurement; all times are per-iteration
-/// nanoseconds.
+/// One measurement; all times are per-iteration nanoseconds.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Measurement label.
@@ -125,121 +112,23 @@ pub struct BenchResult {
     pub batch: u64,
     /// Raw per-iteration sample values.
     pub samples_ns: Vec<f64>,
-    /// Arithmetic mean.
-    pub mean_ns: f64,
-    /// Median (average of middle two for even counts).
-    pub median_ns: f64,
-    /// Population standard deviation.
-    pub stddev_ns: f64,
-    /// Fastest sample.
-    pub min_ns: f64,
-    /// Slowest sample.
-    pub max_ns: f64,
-    /// Bytes processed per iteration, when declared.
-    pub throughput_bytes: Option<u64>,
+    /// Statistics over `samples_ns`.
+    pub summary: Summary,
 }
 
 impl BenchResult {
-    /// Computes summary statistics from raw samples.
-    pub fn from_samples(
-        name: String,
-        batch: u64,
-        samples_ns: Vec<f64>,
-        throughput_bytes: Option<u64>,
-    ) -> Self {
-        assert!(!samples_ns.is_empty(), "no samples");
-        let n = samples_ns.len() as f64;
-        let mean = samples_ns.iter().sum::<f64>() / n;
-        let var = samples_ns
-            .iter()
-            .map(|s| (s - mean) * (s - mean))
-            .sum::<f64>()
-            / n;
-        let mut sorted = samples_ns.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = if sorted.len() % 2 == 1 {
-            sorted[sorted.len() / 2]
-        } else {
-            (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2.0
-        };
-        BenchResult {
-            name,
-            batch,
-            mean_ns: mean,
-            median_ns: median,
-            stddev_ns: var.sqrt(),
-            min_ns: sorted[0],
-            max_ns: *sorted.last().unwrap(),
-            samples_ns,
-            throughput_bytes,
-        }
-    }
-
-    /// Mean throughput in bytes/second, when bytes-per-iteration was
-    /// declared and the mean is non-zero.
-    pub fn bytes_per_sec(&self) -> Option<f64> {
-        let bytes = self.throughput_bytes?;
-        if self.mean_ns <= 0.0 {
-            return None;
-        }
-        Some(bytes as f64 * 1e9 / self.mean_ns)
-    }
-
     /// One human-readable result line.
     pub fn render_row(&self) -> String {
-        let mut row = format!(
+        let s = &self.summary;
+        format!(
             "{:<40} {:>12}  ±{:>10}  med {:>12}  [{} .. {}]",
             self.name,
-            format_ns(self.mean_ns as u64),
-            format_ns(self.stddev_ns as u64),
-            format_ns(self.median_ns as u64),
-            format_ns(self.min_ns as u64),
-            format_ns(self.max_ns as u64),
-        );
-        if let Some(tput) = self.bytes_per_sec() {
-            row.push_str(&format!("  {}", format_throughput(tput)));
-        }
-        row
-    }
-
-    /// The result as a JSON object (for machine-readable bench logs).
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("name".to_string(), Json::Str(self.name.clone())),
-            ("batch".to_string(), Json::UInt(self.batch)),
-            (
-                "samples".to_string(),
-                Json::UInt(self.samples_ns.len() as u64),
-            ),
-            ("mean_ns".to_string(), Json::Float(self.mean_ns)),
-            ("median_ns".to_string(), Json::Float(self.median_ns)),
-            ("stddev_ns".to_string(), Json::Float(self.stddev_ns)),
-            ("min_ns".to_string(), Json::Float(self.min_ns)),
-            ("max_ns".to_string(), Json::Float(self.max_ns)),
-        ];
-        if let Some(b) = self.throughput_bytes {
-            pairs.push(("bytes_per_iter".to_string(), Json::UInt(b)));
-            if let Some(t) = self.bytes_per_sec() {
-                pairs.push(("bytes_per_sec".to_string(), Json::Float(t)));
-            }
-        }
-        Json::Object(pairs)
-    }
-}
-
-/// Formats bytes/second with an adaptive unit.
-pub fn format_throughput(bytes_per_sec: f64) -> String {
-    const KIB: f64 = 1024.0;
-    const MIB: f64 = 1024.0 * 1024.0;
-    const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
-    if bytes_per_sec >= GIB {
-        format!("{:.2} GiB/s", bytes_per_sec / GIB)
-    } else if bytes_per_sec >= MIB {
-        format!("{:.2} MiB/s", bytes_per_sec / MIB)
-    } else if bytes_per_sec >= KIB {
-        format!("{:.2} KiB/s", bytes_per_sec / KIB)
-    } else {
-        format!("{bytes_per_sec:.0} B/s")
+            format_ns(s.mean as u64),
+            format_ns(s.stddev as u64),
+            format_ns(s.median as u64),
+            format_ns(s.min as u64),
+            format_ns(s.max as u64),
+        )
     }
 }
 
@@ -330,11 +219,6 @@ impl Suite {
         self.record(bench.run(f));
     }
 
-    /// The results recorded so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
     /// Prints the footer and returns all results.
     pub fn finish(self) -> Vec<BenchResult> {
         println!("== {}: {} measurement(s) ==", self.name, self.results.len());
@@ -347,52 +231,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_are_exact_on_known_samples() {
-        let r =
-            BenchResult::from_samples("known".to_string(), 1, vec![10.0, 20.0, 30.0, 40.0], None);
-        assert_eq!(r.mean_ns, 25.0);
-        assert_eq!(r.median_ns, 25.0);
-        assert_eq!(r.min_ns, 10.0);
-        assert_eq!(r.max_ns, 40.0);
-        // Population stddev of {10,20,30,40} = sqrt(125).
-        assert!((r.stddev_ns - 125f64.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn odd_sample_count_median() {
-        let r = BenchResult::from_samples("odd".to_string(), 1, vec![3.0, 1.0, 2.0], None);
-        assert_eq!(r.median_ns, 2.0);
-    }
-
-    #[test]
-    fn throughput_computed_from_mean() {
-        let r = BenchResult::from_samples("tput".to_string(), 1, vec![1000.0], Some(500));
-        // 500 bytes per 1000 ns = 5e8 bytes/sec.
-        let t = r.bytes_per_sec().unwrap();
-        assert!((t - 5e8).abs() < 1.0);
-        assert!(r.render_row().contains("MiB/s"));
-    }
-
-    #[test]
     fn run_produces_requested_samples_and_positive_times() {
         let result = Bench::new("spin")
             .warmup(Duration::from_millis(1))
-            .min_sample(Duration::from_micros(50))
             .samples(5)
             .run(|| {
                 black_box((0..100u64).sum::<u64>());
             });
         assert_eq!(result.samples_ns.len(), 5);
         assert!(result.batch >= 1);
-        assert!(result.mean_ns > 0.0);
-        assert!(result.min_ns <= result.median_ns && result.median_ns <= result.max_ns);
+        let s = result.summary;
+        assert!(s.mean > 0.0);
+        assert!(s.min <= s.median && s.median <= s.max);
+        assert!(result.render_row().starts_with("spin "));
     }
 
     #[test]
     fn calibration_batches_fast_ops() {
         let result = Bench::new("nop")
             .warmup(Duration::from_millis(5))
-            .min_sample(Duration::from_micros(200))
             .samples(3)
             .run(|| {
                 black_box(1u64);
@@ -402,15 +259,6 @@ mod tests {
             "a no-op must be batched, got batch={}",
             result.batch
         );
-    }
-
-    #[test]
-    fn json_row_has_stats() {
-        let r = BenchResult::from_samples("j".to_string(), 4, vec![1.0, 2.0], Some(8));
-        let j = r.to_json().render();
-        for needle in ["\"name\":\"j\"", "\"batch\":4", "mean_ns", "bytes_per_sec"] {
-            assert!(j.contains(needle), "{j}");
-        }
     }
 
     #[test]
@@ -427,14 +275,6 @@ mod tests {
         );
         assert!(!ran, "filtered bench must not run its closure");
         assert!(suite.finish().is_empty());
-    }
-
-    #[test]
-    fn format_throughput_units() {
-        assert_eq!(format_throughput(512.0), "512 B/s");
-        assert_eq!(format_throughput(2048.0), "2.00 KiB/s");
-        assert!(format_throughput(3.0 * 1024.0 * 1024.0).contains("MiB/s"));
-        assert!(format_throughput(5.0 * 1024.0 * 1024.0 * 1024.0).contains("GiB/s"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   transport traffic, the primitive census, and the leakage audit of one
 //!   protocol run, rendered as JSON or an aligned table,
 //! * [`bench`] — a micro-benchmark harness (warmup, batch calibration,
-//!   mean/median/stddev, optional throughput) used by every bench binary,
+//!   mean/median/stddev) used by every bench binary,
 //! * [`metrics`] — the process-global metrics registry: counters, gauges,
 //!   and log₂ histograms, split into a *deterministic* class (seed-pure,
 //!   safe inside `RunReport`) and a *timing* class (wall-clock, exported
@@ -21,7 +21,8 @@
 //! * [`profile`] — span-profile aggregation: folds a trace into a
 //!   self/total-time tree with collapsed-stack (flamegraph) output,
 //! * [`trajectory`] — the `BENCH_*.json` performance-trajectory schema,
-//!   writer, and validator backing `scripts/bench_check.sh`,
+//!   writer, validator, and the baseline compare behind
+//!   `scripts/bench_check.sh`,
 //! * [`json`] — the hand-rolled JSON value model (and tolerant parser)
 //!   the other modules emit and re-read.
 

@@ -1,9 +1,9 @@
 //! The `BENCH_*.json` performance-trajectory file format.
 //!
 //! Every bench binary emits one file per suite under `target/bench/`,
-//! named `BENCH_<suite>.json`; a committed `BENCH_core.json` at the repo
-//! root is the baseline that `scripts/bench_check.sh` compares fresh
-//! emissions against.  Schema (version 1):
+//! named `BENCH_<suite>.json`; the committed file of the same name at the
+//! repo root is its baseline, and [`compare`] is the one rule
+//! `scripts/bench_check.sh` holds every fresh file to.  Schema (version 1):
 //!
 //! ```json
 //! {
@@ -26,6 +26,7 @@
 //! from wall-clock data (comparable only against the same machine's
 //! history).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -46,34 +47,57 @@ pub struct TrajectoryEntry {
     pub samples: Vec<f64>,
 }
 
-impl TrajectoryEntry {
-    /// Summary statistics over the samples (all zero when empty).
-    pub fn summary(&self) -> (f64, f64, f64, f64, f64) {
-        if self.samples.is_empty() {
-            return (0.0, 0.0, 0.0, 0.0, 0.0);
-        }
-        let n = self.samples.len() as f64;
-        let mean = self.samples.iter().sum::<f64>() / n;
-        let var = self
-            .samples
-            .iter()
-            .map(|s| (s - mean) * (s - mean))
-            .sum::<f64>()
-            / n;
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let median = if sorted.len() % 2 == 1 {
-            sorted[sorted.len() / 2]
-        } else {
-            (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2.0
-        };
-        let min = sorted[0];
-        let max = sorted[sorted.len() - 1];
-        (mean, median, var.sqrt(), min, max)
-    }
+/// Summary statistics over one series' samples.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Summary {
+    /// Arithmetic mean.
+    pub mean: f64,
+    /// Median (average of the middle two for even counts).
+    pub median: f64,
+    /// Population standard deviation.
+    pub stddev: f64,
+    /// Smallest sample.
+    pub min: f64,
+    /// Largest sample.
+    pub max: f64,
+}
 
+impl Summary {
+    /// The statistics of `samples` (all zero when empty).
+    pub fn of(samples: &[f64]) -> Summary {
+        if samples.is_empty() {
+            return Summary::default();
+        }
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n;
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        let median = if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            (sorted[mid - 1] + sorted[mid]) / 2.0
+        };
+        Summary {
+            mean,
+            median,
+            stddev: var.sqrt(),
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+        }
+    }
+}
+
+impl TrajectoryEntry {
     fn to_json(&self) -> Json {
-        let (mean, median, stddev, min, max) = self.summary();
+        let Summary {
+            mean,
+            median,
+            stddev,
+            min,
+            max,
+        } = Summary::of(&self.samples);
         Json::obj([
             ("name", Json::from(self.name.clone())),
             ("unit", Json::from(self.unit.clone())),
@@ -282,11 +306,10 @@ pub fn validate(doc: &Json) -> Vec<SchemaError> {
 }
 
 /// Reads and validates a `BENCH_*.json` file; `Ok` carries the parsed
-/// document, `Err` the list of problems.
+/// document, `Err` the list of problems (the caller names the file).
 pub fn load(path: &Path) -> Result<Json, Vec<SchemaError>> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| vec![format!("{}: {e}", path.display())])?;
-    let doc = json::parse(&text).map_err(|e| vec![format!("{}: {e}", path.display())])?;
+    let text = std::fs::read_to_string(path).map_err(|e| vec![e.to_string()])?;
+    let doc = json::parse(&text).map_err(|e| vec![e.to_string()])?;
     let errors = validate(&doc);
     if errors.is_empty() {
         Ok(doc)
@@ -295,29 +318,116 @@ pub fn load(path: &Path) -> Result<Json, Vec<SchemaError>> {
     }
 }
 
-/// The median of a named bench inside a parsed trajectory document.
-pub fn bench_median(doc: &Json, name: &str) -> Option<f64> {
-    doc.get("benches")?
-        .as_array()?
-        .iter()
-        .find(|b| b.get("name").and_then(Json::as_str) == Some(name))?
-        .get("summary")?
-        .get("median")?
-        .as_f64()
+/// How far a wall-clock median may exceed its baseline in [`compare`]:
+/// generous because machines vary; the committed samples are the
+/// fine-grained record.
+pub const MAX_WALL_RATIO: f64 = 4.0;
+
+/// Compares a fresh trajectory with its committed baseline, both already
+/// [`validate`]d, and returns one line per difference, each naming the
+/// series or metric (empty ⇒ the fresh file passes).
+///
+/// The files must carry the same series names with the same units.  A
+/// wall-clock series (unit `"ns"`) passes while its median stays within
+/// [`MAX_WALL_RATIO`] × the baseline's; every other series must equal the
+/// baseline sample for sample; and `metrics.deterministic` must equal the
+/// baseline's.  `git_rev`, `threads` and `metrics.timing` are not compared.
+pub fn compare(fresh: &Json, baseline: &Json) -> Vec<String> {
+    let mut diffs = Vec::new();
+    let (now, then) = (series(fresh), series(baseline));
+    for name in now.keys().chain(then.keys()).collect::<BTreeSet<_>>() {
+        let diff = match (now.get(name), then.get(name)) {
+            (None, _) => Some("series missing from the fresh file".to_string()),
+            (_, None) => Some("series not in the baseline".to_string()),
+            (Some(series), Some(base)) => series_diff(series, base),
+        };
+        diffs.extend(diff.map(|d| format!("{name}: {d}")));
+    }
+    let (now, then) = (deterministic(fresh), deterministic(baseline));
+    let shown = |v: Option<&&Json>| v.map_or("absent".to_string(), |v| v.render());
+    for name in now.keys().chain(then.keys()).collect::<BTreeSet<_>>() {
+        let (value, base) = (now.get(name), then.get(name));
+        if value != base {
+            diffs.push(format!(
+                "metrics.deterministic.{name}: {}, baseline {}",
+                shown(value),
+                shown(base)
+            ));
+        }
+    }
+    diffs
 }
 
-/// Every bench name inside a parsed trajectory document.
-pub fn bench_names(doc: &Json) -> Vec<String> {
+/// How a fresh `(unit, samples)` series differs from its baseline under
+/// [`compare`]'s rule, if it does.
+fn series_diff(
+    (unit, samples): &(&str, Vec<f64>),
+    (base_unit, base): &(&str, Vec<f64>),
+) -> Option<String> {
+    if unit != base_unit {
+        return Some(format!("unit {unit:?}, baseline {base_unit:?}"));
+    }
+    if *unit == "ns" {
+        let (median, base) = (Summary::of(samples).median, Summary::of(base).median);
+        return (median > MAX_WALL_RATIO * base).then(|| {
+            format!("median {median:.0} ns exceeds baseline {base:.0} ns × {MAX_WALL_RATIO}")
+        });
+    }
+    if samples.len() != base.len() {
+        return Some(format!(
+            "{} samples, baseline {}",
+            samples.len(),
+            base.len()
+        ));
+    }
+    let i = (0..samples.len()).find(|&i| samples[i] != base[i])?;
+    Some(format!(
+        "sample {i} is {} {unit}, baseline {}",
+        samples[i], base[i]
+    ))
+}
+
+/// Every series of a trajectory document: name → (unit, samples).
+fn series(doc: &Json) -> BTreeMap<&str, (&str, Vec<f64>)> {
     doc.get("benches")
         .and_then(Json::as_array)
-        .map(|benches| {
-            benches
-                .iter()
-                .filter_map(|b| b.get("name").and_then(Json::as_str))
-                .map(str::to_string)
-                .collect()
-        })
         .unwrap_or_default()
+        .iter()
+        .filter_map(|b| {
+            let samples = b.get("samples")?.as_array()?;
+            Some((
+                b.get("name")?.as_str()?,
+                (
+                    b.get("unit")?.as_str()?,
+                    samples.iter().filter_map(Json::as_f64).collect(),
+                ),
+            ))
+        })
+        .collect()
+}
+
+/// The deterministic metrics of a trajectory document, one level deep:
+/// `"<section>.<name>"` (e.g. `"counters.pool.calls"`) → value.
+fn deterministic(doc: &Json) -> BTreeMap<String, &Json> {
+    let sections = doc
+        .get("metrics")
+        .and_then(|m| m.get("deterministic"))
+        .and_then(Json::as_object)
+        .unwrap_or_default();
+    let mut flat = BTreeMap::new();
+    for (section, members) in sections {
+        match members.as_object() {
+            Some(members) => flat.extend(
+                members
+                    .iter()
+                    .map(|(name, v)| (format!("{section}.{name}"), v)),
+            ),
+            None => {
+                flat.insert(section.clone(), members);
+            }
+        }
+    }
+    flat
 }
 
 #[cfg(test)]
@@ -335,19 +445,14 @@ mod tests {
 
     #[test]
     fn summary_statistics() {
-        let f = sample_file();
-        let (mean, median, stddev, min, max) = f.benches[0].summary();
-        assert_eq!(mean, 20.0);
-        assert_eq!(median, 20.0);
-        assert!((stddev - 8.164965809).abs() < 1e-6);
-        assert_eq!(min, 10.0);
-        assert_eq!(max, 30.0);
-        let empty = TrajectoryEntry {
-            name: "e".into(),
-            unit: "ns".into(),
-            samples: vec![],
-        };
-        assert_eq!(empty.summary(), (0.0, 0.0, 0.0, 0.0, 0.0));
+        let s = Summary::of(&[10.0, 30.0, 20.0]);
+        assert_eq!((s.mean, s.median, s.min, s.max), (20.0, 20.0, 10.0, 30.0));
+        assert!((s.stddev - 8.164965809).abs() < 1e-6);
+        // Even counts average the middle two; population stddev.
+        let s = Summary::of(&[40.0, 10.0, 30.0, 20.0]);
+        assert_eq!((s.mean, s.median), (25.0, 25.0));
+        assert!((s.stddev - 125f64.sqrt()).abs() < 1e-9);
+        assert_eq!(Summary::of(&[]), Summary::default());
     }
 
     #[test]
@@ -359,15 +464,21 @@ mod tests {
         assert_eq!(validate(&doc), Vec::<String>::new());
         assert_eq!(doc.get("suite").and_then(Json::as_str), Some("testsuite"));
         assert_eq!(doc.get("threads").and_then(Json::as_u64), Some(2));
-        assert_eq!(bench_names(&doc), vec!["alpha/one", "beta/two"]);
-        assert_eq!(bench_median(&doc, "alpha/one"), Some(20.0));
-        assert_eq!(bench_median(&doc, "nope"), None);
-        assert!(doc
-            .get("metrics")
-            .and_then(|m| m.get("deterministic"))
-            .and_then(|d| d.get("counters"))
-            .and_then(|c| c.get("t.traj.frames"))
-            .and_then(Json::as_u64)
+        let benches = series(&doc);
+        assert_eq!(
+            benches.keys().copied().collect::<Vec<_>>(),
+            ["alpha/one", "beta/two"]
+        );
+        assert_eq!(benches["alpha/one"], ("ns", vec![10.0, 30.0, 20.0]));
+        assert_eq!(
+            doc.get("benches")
+                .and_then(|b| b.as_array()?[0].get("summary")?.get("median"))
+                .and_then(Json::as_f64),
+            Some(20.0)
+        );
+        assert!(deterministic(&doc)
+            .get("counters.t.traj.frames")
+            .and_then(|v| v.as_u64())
             .map(|v| v >= 4)
             .unwrap_or(false));
         // Timing data never leaks into the deterministic section.
@@ -376,6 +487,124 @@ mod tests {
             .and_then(|m| m.get("timing"))
             .and_then(Json::as_object)
             .is_some());
+    }
+
+    /// A baseline with a wall series, a multi-sample deterministic
+    /// series and a counter in each metrics class.
+    fn baseline() -> TrajectoryFile {
+        let mut f = sample_file();
+        f.push("gamma/bytes", "bytes", vec![100.0, 200.0, 300.0]);
+        f.deterministic
+            .counters
+            .insert("pool.calls".into(), (Class::Deterministic, 48));
+        f.timing
+            .counters
+            .insert("engine.run_ns".into(), (Class::Timing, 1000));
+        f
+    }
+
+    /// `compare` over the files as written and re-read.
+    fn diffs(fresh: &TrajectoryFile, baseline: &TrajectoryFile) -> Vec<String> {
+        let doc = |f: &TrajectoryFile| json::parse(&f.to_json().render()).expect("parse");
+        compare(&doc(fresh), &doc(baseline))
+    }
+
+    #[test]
+    fn compare_passes_when_only_wall_git_rev_and_timing_differ() {
+        let mut fresh = baseline();
+        fresh.git_rev = "c0ffee0".to_string();
+        // Median 20 → 80: exactly the allowed ratio.
+        fresh.benches[0].samples = vec![80.0, 5.0, 800.0];
+        fresh
+            .timing
+            .counters
+            .insert("engine.run_ns".into(), (Class::Timing, 9_999));
+        fresh
+            .timing
+            .counters
+            .insert("t.traj.extra_ns".into(), (Class::Timing, 1));
+        assert_eq!(diffs(&fresh, &baseline()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn compare_fails_on_a_missing_series() {
+        let mut fresh = baseline();
+        fresh.benches.retain(|b| b.name != "beta/two");
+        assert_eq!(
+            diffs(&fresh, &baseline()),
+            ["beta/two: series missing from the fresh file"]
+        );
+    }
+
+    #[test]
+    fn compare_fails_on_an_extra_series() {
+        let mut fresh = baseline();
+        fresh.push("delta/new", "count", vec![1.0]);
+        assert_eq!(
+            diffs(&fresh, &baseline()),
+            ["delta/new: series not in the baseline"]
+        );
+    }
+
+    #[test]
+    fn compare_fails_on_a_changed_unit() {
+        // Re-declaring a wall series as deterministic, or the reverse,
+        // is a unit change, never a silent switch of rule.
+        let mut fresh = baseline();
+        fresh.benches[0].unit = "count".to_string();
+        assert_eq!(
+            diffs(&fresh, &baseline()),
+            [r#"alpha/one: unit "count", baseline "ns""#]
+        );
+    }
+
+    #[test]
+    fn compare_fails_on_one_changed_sample_under_the_same_median() {
+        let mut fresh = baseline();
+        fresh.benches[2].samples[0] = 150.0;
+        assert_eq!(
+            Summary::of(&fresh.benches[2].samples).median,
+            Summary::of(&baseline().benches[2].samples).median
+        );
+        assert_eq!(
+            diffs(&fresh, &baseline()),
+            ["gamma/bytes: sample 0 is 150 bytes, baseline 100"]
+        );
+        fresh.benches[2].samples.push(400.0);
+        assert_eq!(
+            diffs(&fresh, &baseline()),
+            ["gamma/bytes: 4 samples, baseline 3"]
+        );
+    }
+
+    #[test]
+    fn compare_fails_on_a_changed_deterministic_counter() {
+        let mut fresh = baseline();
+        fresh
+            .deterministic
+            .counters
+            .insert("pool.calls".into(), (Class::Deterministic, 44));
+        fresh
+            .deterministic
+            .gauges
+            .insert("server.peak".into(), (Class::Deterministic, 2));
+        assert_eq!(
+            diffs(&fresh, &baseline()),
+            [
+                "metrics.deterministic.counters.pool.calls: 44, baseline 48",
+                "metrics.deterministic.gauges.server.peak: 2, baseline absent",
+            ]
+        );
+    }
+
+    #[test]
+    fn compare_fails_on_a_wall_median_above_the_ratio() {
+        let mut fresh = baseline();
+        fresh.benches[0].samples = vec![81.0, 81.0, 81.0];
+        assert_eq!(
+            diffs(&fresh, &baseline()),
+            ["alpha/one: median 81 ns exceeds baseline 20 ns × 4"]
+        );
     }
 
     #[test]

@@ -66,12 +66,12 @@ echo "resilience: resume equivalence + admission/drain + server-chaos grid + hyg
 cargo test -q --offline -p secmed-client --test soak_smoke
 echo "soak smoke: 8 concurrent loopback sessions ok"
 
-# The metrics registry and span-profile aggregation, run by name: the
-# deterministic/timing class split and the self-time invariant are what
-# keep RunReports reproducible while still carrying metrics.
-cargo test -q --offline -p secmed-obs metrics::
-cargo test -q --offline -p secmed-obs profile::
-cargo test -q --offline -p secmed-obs trajectory::
+# The observability crate, run whole: the metrics registry's
+# deterministic/timing class split and the profile self-time invariant
+# (what keep RunReports reproducible while still carrying metrics), the
+# run scope, traces, reports, JSON, the bench harness and its doctest, and
+# the trajectory schema and baseline compare behind the bench gate.
+cargo test -q --offline -p secmed-obs
 cargo test -q --offline -p secmed-core --test observability
 
 # The query analysis and the planner layer, run by name: relalg's whole
@@ -87,11 +87,11 @@ cargo test -q --offline -p secmed-core --test plan_exec
 cargo test -q --offline -p secmed-core --lib --test protocols --test request_phase --test cost_model
 echo "planner: relalg suite + plan unit suite + 3-way plan execution + core protocols ok"
 
-# The BENCH_*.json gate: emit fresh trajectories and compare them with
-# the committed BENCH_core.json and BENCH_resilience.json baselines
-# (deterministic series exactly, wall-clock within 4.0x).
+# The BENCH_*.json gate: re-emit all six trajectories and compare each
+# with its committed baseline (deterministic series and metrics exactly,
+# wall-clock medians within 4.0x; a file without a partner fails).
 scripts/bench_check.sh
-echo "bench gate: BENCH_core.json + BENCH_resilience.json baselines ok"
+echo "bench gate: BENCH_{core,resilience,plan,soak,chaos,table2}.json baselines ok"
 
 # The analyzer's whole suite: its unit tests (engine, walker, lexer, AST,
 # taint, per-rule), the fixture-pair rule tests (including the multi-hop
