@@ -63,12 +63,18 @@ fn main() {
         "overhead"
     );
 
+    // Every run's frames and bytes, delayed copies included, for the
+    // registry check after the sweep.
+    let before = metrics::snapshot();
+    let (mut all_frames, mut all_bytes) = (0u64, 0u64);
     for (name, kind) in kinds {
         // The fault-free baseline the overhead is measured against.
         let mut sc = ScenarioBuilder::new(&w).seed("chaos").build();
         let clean = Engine::run(&mut sc, &RunOptions::new(kind).trace(TraceSink::Discard))
             .expect("fault-free run succeeds");
         let clean_bytes = clean.transport.total_bytes() as u64;
+        all_frames += clean.transport.message_count() as u64;
+        all_bytes += clean_bytes;
 
         let mut t = Tally::default();
         for seed in 0..SEEDS {
@@ -93,6 +99,8 @@ fn main() {
             t.total_msgs += report.transport.message_count() as u64;
             t.total_bytes += report.transport.total_bytes() as u64;
         }
+        all_frames += t.total_msgs;
+        all_bytes += t.total_bytes;
 
         let key = kind.key();
         traj.push(&format!("{key}/retries"), "count", vec![t.retries as f64]);
@@ -133,7 +141,21 @@ fn main() {
          duplicate copies); overhead% is extra bytes relative to {SEEDS} fault-free runs."
     );
 
-    traj.set_metrics(&metrics::snapshot());
+    // Each finished run publishes its account once, so the registry's
+    // fabric totals are exactly the sum of the runs' logs.
+    let snapshot = metrics::snapshot();
+    let grown = snapshot.since(&before);
+    assert_eq!(
+        grown.counter("transport.frames"),
+        all_frames,
+        "the registry's frames drifted from the runs' logs"
+    );
+    assert_eq!(
+        grown.counter("transport.bytes"),
+        all_bytes,
+        "the registry's bytes drifted from the runs' logs"
+    );
+    traj.set_metrics(&snapshot);
     let path = traj
         .write_under(std::path::Path::new("target/bench"))
         .expect("write BENCH_chaos.json");

@@ -9,7 +9,6 @@ use secmed_core::workload::WorkloadSpec;
 use secmed_core::{
     CommutativeConfig, DasConfig, Engine, PmConfig, ProtocolKind, RunOptions, ScenarioBuilder,
 };
-use secmed_crypto::metrics::Snapshot;
 use secmed_obs::bench::cli_threads;
 use secmed_obs::metrics;
 use secmed_obs::trajectory::TrajectoryFile;
@@ -53,15 +52,36 @@ fn main() {
             .seed("table2")
             .paillier_bits(768)
             .build();
-        let before = Snapshot::capture();
+        let before = metrics::snapshot();
         let report = Engine::run(&mut sc, &RunOptions::new(kind).threads(threads))
             .expect("protocol run succeeds");
-        // A closing run adds its census to the `crypto.<op>` registry
-        // counters once, and nothing else counted meanwhile.
+        // A finished run adds its whole account to the registry once (the
+        // census when its scope closes, every other count and each frame's
+        // size as the engine assembles the report), and no other census,
+        // transport or result count grew meanwhile.
+        let grown = metrics::snapshot().since(&before);
+        for (metric, n) in &report.metrics {
+            assert_eq!(
+                grown.counter(metric),
+                *n,
+                "{name}: the registry did not grow by the run's {metric}"
+            );
+        }
+        for metric in grown.counters.keys() {
+            if ["crypto.", "transport.", "run."]
+                .iter()
+                .any(|p| metric.starts_with(p))
+            {
+                assert!(
+                    report.metrics.iter().any(|(m, _)| m == metric),
+                    "{name}: the registry grew by {metric}, which the run's account lacks"
+                );
+            }
+        }
         assert_eq!(
-            Snapshot::capture().since(&before),
-            report.primitives,
-            "{name}: the registry did not grow by the run's census"
+            grown.histogram("transport.frame_bytes").map(|h| h.count()),
+            Some(report.transport.message_count() as u64),
+            "{name}: the frame-size histogram did not grow by the run's frames"
         );
         println!("== {name}");
         println!("   paper:    {paper}");

@@ -25,8 +25,8 @@ use crate::credential::{CertificationAuthority, Property};
 use crate::party::{Client, DataSource, Mediator};
 use crate::policy::AccessPolicy;
 use crate::protocol::{
-    commutative, das, pm, request_phase, CommutativeConfig, DasConfig, PmConfig, ProtocolKind,
-    RunOutcome, RunReport, Scenario,
+    commutative, das, pm, request_phase, CommutativeConfig, DasConfig, Delivered, PmConfig,
+    ProtocolKind, RunOutcome, RunReport, Scenario,
 };
 use crate::transport::{DeliveryPolicy, Fabric, FaultPlan, PartyId, Transport};
 use crate::workload::Workload;
@@ -254,7 +254,10 @@ impl Engine {
     ///
     /// The run counts into its own run scope (`secmed_obs::run`), which
     /// the pool hands to its workers, so the report's census is exactly
-    /// this run's even while other runs share the process.
+    /// this run's even while other runs share the process.  The report is
+    /// the run's one account: its counts reach the process registry once,
+    /// when it is assembled here.  A run that returns `Err` publishes only
+    /// its census.
     pub fn run_on<F: Fabric>(
         mut fabric: F,
         sc: &mut Scenario,
@@ -271,8 +274,8 @@ impl Engine {
             &format!("engine.runs.{}", kind.key()),
             1,
         );
-        // Timing class: the wall clock is read inside obs, behind its
-        // `Clock` abstraction — this module never names `Instant`.
+        // Timing class: the wall clock is read inside obs — this module
+        // never names `Instant`.
         let _run_timer = secmed_obs::metrics::start_timer("engine.run_ns");
         let mut root = secmed_obs::span("run");
         root.field("protocol", kind.key());
@@ -286,23 +289,31 @@ impl Engine {
         // Tear the fabric down (a socket session says goodbye here) and
         // keep the recorder: the complete log of every attempted byte.
         let transport = fabric.into_recorder()?;
-        let mut report = match driven {
-            Ok(report) => report,
-            Err(error) if opts.faults.is_some() => {
-                // Under an installed fault plan an exhausted delivery is a
-                // typed outcome, not a crash: the report carries an empty
-                // result, the abort reason, and the full transport log (so
-                // the accounting still covers every attempted byte).
-                RunReport {
-                    result: relalg::Relation::empty(relalg::Schema::new(&[])),
-                    outcome: RunOutcome::Aborted { error, retries: 0 },
-                    transport: Transport::new(), // replaced below
-                    mediator_view: Default::default(),
-                    client_view: Default::default(),
-                    primitives: Vec::new(),
-                    metrics: Vec::new(), // filled in below
-                }
-            }
+        let retries = transport.retries();
+        let (result, useful_payloads, outcome) = match driven {
+            Ok(d) if !d.degraded.is_empty() => (
+                d.result,
+                d.useful_payloads,
+                RunOutcome::Degraded {
+                    details: d.degraded,
+                    retries,
+                },
+            ),
+            Ok(d) if retries > 0 => (
+                d.result,
+                d.useful_payloads,
+                RunOutcome::RecoveredWithRetries { retries },
+            ),
+            Ok(d) => (d.result, d.useful_payloads, RunOutcome::Clean),
+            // Under an installed fault plan an exhausted delivery is a
+            // typed outcome, not a crash: the report carries an empty
+            // result, the abort reason, and the full transport log (so the
+            // accounting still covers every attempted byte).
+            Err(error) if opts.faults.is_some() => (
+                relalg::Relation::empty(relalg::Schema::new(&[])),
+                None,
+                RunOutcome::Aborted { error, retries },
+            ),
             Err(error) => return Err(error),
         };
         // The Table 1 views are recomputed from the recorded frames the
@@ -311,40 +322,37 @@ impl Engine {
         // copies stay in the byte accounting below.
         let accepted = crate::audit::effective_frames(transport.log());
         let (mut mediator_view, mut client_view) = crate::audit::derive_views(&accepted);
-        client_view.useful_payloads = report.client_view.useful_payloads;
-        report.transport = transport;
-        mediator_view.bytes_observed = report.transport.bytes_received_by(&PartyId::Mediator);
-        client_view.bytes_received = report.transport.bytes_received_by(&PartyId::Client);
-        report.mediator_view = mediator_view;
-        report.client_view = client_view;
-        report.primitives = secmed_crypto::metrics::census(run.census());
-        // Per-run deterministic metrics: the fabric totals from this run's
-        // own transport log plus this run's census.  Both are pure
+        client_view.useful_payloads = useful_payloads;
+        mediator_view.bytes_observed = transport.bytes_received_by(&PartyId::Mediator);
+        client_view.bytes_received = transport.bytes_received_by(&PartyId::Client);
+        // The run's account: the counts of its own transport log and its
+        // result, published to the registry once here, then its census,
+        // which the run scope publishes when it closes.  All are pure
         // functions of the scenario seed (never of wall clocks, schedules,
-        // or the process-global registry, which concurrent runs share), so
-        // the determinism fingerprint covers them at every thread count.
-        let mut metrics = report.transport.run_metrics();
-        for &(op, n) in &report.primitives {
+        // or the registry, which concurrent runs share), so the
+        // determinism fingerprint covers them at every thread count.
+        let mut metrics = transport.run_metrics();
+        metrics.push(("run.result_rows".to_string(), result.len() as u64));
+        publish(&metrics, &transport);
+        let primitives = secmed_crypto::metrics::census(run.census());
+        for &(op, n) in &primitives {
             metrics.push((secmed_crypto::metrics::registry_name(op), n));
         }
-        metrics.push(("run.result_rows".to_string(), report.result.len() as u64));
         metrics.sort();
-        report.metrics = metrics;
-        // Finalize the outcome against the fabric's retry counter.
-        let retries = report.transport.retries();
-        report.outcome = match report.outcome {
-            RunOutcome::Clean if retries > 0 => RunOutcome::RecoveredWithRetries { retries },
-            RunOutcome::Clean => RunOutcome::Clean,
-            RunOutcome::RecoveredWithRetries { .. } => RunOutcome::RecoveredWithRetries { retries },
-            RunOutcome::Degraded { details, .. } => RunOutcome::Degraded { details, retries },
-            RunOutcome::Aborted { error, .. } => RunOutcome::Aborted { error, retries },
-        };
-        root.field("messages", report.transport.message_count());
-        root.field("bytes", report.transport.total_bytes());
-        root.field("result_rows", report.result.len());
-        root.field("outcome", report.outcome.key());
+        root.field("messages", transport.message_count());
+        root.field("bytes", transport.total_bytes());
+        root.field("result_rows", result.len());
+        root.field("outcome", outcome.key());
         root.field("retries", retries);
-        Ok(report)
+        Ok(RunReport {
+            result,
+            outcome,
+            transport,
+            mediator_view,
+            client_view,
+            primitives,
+            metrics,
+        })
     }
 
     /// Listing 1 followed by the selected delivery phase.
@@ -353,7 +361,7 @@ impl Engine {
         kind: ProtocolKind,
         transport: &mut F,
         pool: &Pool,
-    ) -> Result<RunReport, MedError> {
+    ) -> Result<Delivered, MedError> {
         let prepared = {
             let _s = secmed_obs::span(&format!("{}.request", kind.key()));
             request_phase(sc, transport)?
@@ -365,5 +373,20 @@ impl Engine {
             }
             ProtocolKind::Pm(cfg) => pm::deliver(sc, prepared, cfg, transport, pool),
         }
+    }
+}
+
+/// Adds a finished run's account to the process registry, once: every
+/// count, and every recorded frame's size to the `transport.frame_bytes`
+/// histogram.  The account holds no census; the run scope publishes that
+/// when it closes.
+fn publish(account: &[(String, u64)], transport: &Transport) {
+    use secmed_obs::metrics::{histogram, incr, Class};
+    for (name, n) in account {
+        incr(Class::Deterministic, name, *n);
+    }
+    let sizes = histogram(Class::Deterministic, "transport.frame_bytes");
+    for e in transport.log() {
+        sizes.observe(e.bytes() as u64);
     }
 }

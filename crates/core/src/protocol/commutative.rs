@@ -27,9 +27,9 @@ use secmed_pool::Pool;
 
 use crate::protocol::{
     apply_residual, assemble_from_tuple_sets, degrade_note, group_by_join_key, CommutativeConfig,
-    CommutativeMode, Prepared, RunOutcome, RunReport, Scenario,
+    CommutativeMode, Delivered, Prepared, Scenario,
 };
-use crate::transport::{Fabric, Frame, PartyId, Transport};
+use crate::transport::{Fabric, Frame, PartyId};
 use crate::MedError;
 use secmed_wire::TupleRef;
 
@@ -41,13 +41,13 @@ struct SourceMessage {
 }
 
 /// Runs the delivery phase of Listing 3.
-pub fn deliver<F: Fabric>(
+pub(crate) fn deliver<F: Fabric>(
     sc: &mut Scenario,
     p: Prepared,
     cfg: CommutativeConfig,
     transport: &mut F,
     pool: &Pool,
-) -> Result<RunReport, MedError> {
+) -> Result<Delivered, MedError> {
     // The client key each source encrypts tuple sets under comes from its
     // forwarded credentials; the SRA domain is the same public group.
     let left_pk = p.left_client_key().clone();
@@ -272,36 +272,10 @@ pub fn deliver<F: Fabric>(
     post.field("result_rows", result.len());
     drop(post);
 
-    {
-        use secmed_obs::metrics::{incr, Class};
-        incr(Class::Deterministic, "driver.commutative.runs", 1);
-        incr(
-            Class::Deterministic,
-            "driver.commutative.matched_pairs",
-            pairs.len() as u64,
-        );
-        incr(
-            Class::Deterministic,
-            "driver.commutative.result_rows",
-            result.len() as u64,
-        );
-    }
-
-    Ok(RunReport {
+    Ok(Delivered {
         result,
-        outcome: if degraded.is_empty() {
-            RunOutcome::Clean
-        } else {
-            RunOutcome::Degraded {
-                details: degraded,
-                retries: 0, // filled in by the engine
-            }
-        },
-        transport: Transport::new(),
-        mediator_view: Default::default(),
-        client_view: Default::default(),
-        primitives: Vec::new(),
-        metrics: Vec::new(), // filled in by the engine
+        degraded,
+        useful_payloads: None,
     })
 }
 

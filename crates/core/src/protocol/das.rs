@@ -26,10 +26,10 @@ use secmed_pool::Pool;
 
 use crate::party::DataSource;
 use crate::protocol::{
-    apply_residual, assemble_from_candidates, degrade_note, DasConfig, DasSetting, Prepared,
-    RunOutcome, RunReport, Scenario,
+    apply_residual, assemble_from_candidates, degrade_note, DasConfig, DasSetting, Delivered,
+    Prepared, Scenario,
 };
-use crate::transport::{Fabric, Frame, PartyId, Transport};
+use crate::transport::{Fabric, Frame, PartyId};
 use crate::MedError;
 use secmed_wire::DasTable;
 
@@ -43,13 +43,13 @@ fn relation_from_rows(rows: Vec<DasRow>) -> EncryptedDasRelation {
 }
 
 /// Runs the delivery phase of Listing 2.
-pub fn deliver<F: Fabric>(
+pub(crate) fn deliver<F: Fabric>(
     sc: &mut Scenario,
     p: Prepared,
     cfg: DasConfig,
     transport: &mut F,
     pool: &Pool,
-) -> Result<RunReport, MedError> {
+) -> Result<Delivered, MedError> {
     if p.join_attrs.len() != 1 {
         return Err(MedError::Protocol(
             "the DAS protocol indexes a single join attribute (paper Section 2 assumption); \
@@ -246,36 +246,10 @@ pub fn deliver<F: Fabric>(
     post.field("result_rows", result.len());
     drop(post);
 
-    {
-        use secmed_obs::metrics::{incr, Class};
-        incr(Class::Deterministic, "driver.das.runs", 1);
-        incr(
-            Class::Deterministic,
-            "driver.das.candidate_pairs",
-            pairs.len() as u64,
-        );
-        incr(
-            Class::Deterministic,
-            "driver.das.result_rows",
-            result.len() as u64,
-        );
-    }
-
-    Ok(RunReport {
+    Ok(Delivered {
         result,
-        outcome: if degraded.is_empty() {
-            RunOutcome::Clean
-        } else {
-            RunOutcome::Degraded {
-                details: degraded,
-                retries: 0, // filled in by the engine
-            }
-        },
-        transport: Transport::new(), // replaced by the caller
-        mediator_view: Default::default(),
-        client_view: Default::default(),
-        primitives: Vec::new(),
-        metrics: Vec::new(), // filled in by the engine
+        degraded,
+        useful_payloads: None,
     })
 }
 

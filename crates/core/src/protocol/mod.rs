@@ -11,7 +11,8 @@
 //!
 //! Every run returns a [`RunReport`] carrying the global result, the full
 //! transport log, both parties' views (for the Table 1 audit), and the
-//! delta of cryptographic-primitive counters (for the Table 2 census).
+//! run's cryptographic-primitive census (for Table 2).  A driver returns
+//! only what it alone knows; the engine assembles the report.
 
 pub mod commutative;
 pub mod das;
@@ -247,6 +248,19 @@ pub(crate) fn degrade_note(f: &DeliveryFailure) -> String {
     format!("{} undelivered after {} attempt(s)", f.label, f.attempts)
 }
 
+/// What a delivery phase alone knows when it ends.  The engine builds the
+/// rest of the [`RunReport`] from the fabric's log and the run scope.
+pub(crate) struct Delivered {
+    /// The global result delivered to the client.
+    pub(crate) result: Relation,
+    /// One [`degrade_note`] per exhausted delivery the driver degraded
+    /// past, in protocol order; empty for an undegraded run.
+    pub(crate) degraded: Vec<String>,
+    /// Useful payloads the client decrypted (PM only): the one Table 1
+    /// observation that needs the client's secret key.
+    pub(crate) useful_payloads: Option<usize>,
+}
+
 /// The complete output of one protocol run.
 #[derive(Debug)]
 pub struct RunReport {
@@ -262,11 +276,12 @@ pub struct RunReport {
     pub client_view: ClientView,
     /// Cryptographic primitives invoked during the run (Table 2 census).
     pub primitives: Vec<(Op, u64)>,
-    /// Deterministic-class metrics for this run, sorted by name: pure
-    /// functions of the scenario seed (frames, bytes, retries, fault and
-    /// primitive tallies), computed from this run's own transport log and
-    /// census delta — never from wall clocks — so the byte-identical
-    /// determinism fingerprint covers them at every thread count.
+    /// The run's account as deterministic counts, sorted by name: frames,
+    /// bytes, retries, overhead, fault and per-link tallies, the census
+    /// and the result rows, from this run's own transport log and run
+    /// scope — never from wall clocks — so the byte-identical determinism
+    /// fingerprint covers them at every thread count.  Every entry is a
+    /// count, so accounts add across plan nodes and across runs.
     pub metrics: Vec<(String, u64)>,
 }
 

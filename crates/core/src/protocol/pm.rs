@@ -33,12 +33,11 @@ use secmed_crypto::CryptoError;
 use secmed_pool::Pool;
 use secmed_wire::{PmPayloadSet, PolyCoeffs};
 
-use crate::audit::ClientView;
 use crate::protocol::{
-    apply_residual, assemble_from_tuple_sets, degrade_note, group_by_join_key, PmConfig, PmEval,
-    PmPayloadMode, Prepared, RunOutcome, RunReport, Scenario,
+    apply_residual, assemble_from_tuple_sets, degrade_note, group_by_join_key, Delivered, PmConfig,
+    PmEval, PmPayloadMode, Prepared, Scenario,
 };
-use crate::transport::{Fabric, Frame, PartyId, Transport};
+use crate::transport::{Fabric, Frame, PartyId};
 use crate::MedError;
 
 /// Payload framing version tags.
@@ -122,13 +121,13 @@ fn unpack_payload_set(
 }
 
 /// Runs the delivery phase of Listing 4.
-pub fn deliver<F: Fabric>(
+pub(crate) fn deliver<F: Fabric>(
     sc: &mut Scenario,
     p: Prepared,
     cfg: PmConfig,
     transport: &mut F,
     pool: &Pool,
-) -> Result<RunReport, MedError> {
+) -> Result<Delivered, MedError> {
     // Step 1: the client's homomorphic public key is distributed with the
     // credentials — each source reads it from its forwarded subset.
     let paillier_pk = p
@@ -356,46 +355,10 @@ pub fn deliver<F: Fabric>(
     // Only the useful-payload count needs the client's secret key; every
     // other Table 1 observation is derived from the recorded frames by the
     // engine's audit pass.
-    let client_view = ClientView {
-        useful_payloads: Some(useful),
-        ..Default::default()
-    };
-
-    {
-        use secmed_obs::metrics::{incr, Class};
-        incr(Class::Deterministic, "driver.pm.runs", 1);
-        incr(
-            Class::Deterministic,
-            "driver.pm.useful_payloads",
-            useful as u64,
-        );
-        incr(
-            Class::Deterministic,
-            "driver.pm.matched_pairs",
-            tuple_set_pairs.len() as u64,
-        );
-        incr(
-            Class::Deterministic,
-            "driver.pm.result_rows",
-            result.len() as u64,
-        );
-    }
-
-    Ok(RunReport {
+    Ok(Delivered {
         result,
-        outcome: if degraded.is_empty() {
-            RunOutcome::Clean
-        } else {
-            RunOutcome::Degraded {
-                details: degraded,
-                retries: 0, // filled in by the engine
-            }
-        },
-        transport: Transport::new(),
-        mediator_view: Default::default(),
-        client_view,
-        primitives: Vec::new(),
-        metrics: Vec::new(), // filled in by the engine
+        degraded,
+        useful_payloads: Some(useful),
     })
 }
 

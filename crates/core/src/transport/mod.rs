@@ -37,12 +37,11 @@
 
 pub mod socket;
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 
 use secmed_crypto::drbg::HmacDrbg;
-use secmed_obs::metrics::{Class, Counter, Hist, Histogram};
 use secmed_obs::trace::FieldValue;
 
 use crate::MedError;
@@ -109,29 +108,6 @@ impl FaultKind {
             FaultKind::Unavailable => "unavailable",
         }
     }
-}
-
-/// Process-global fabric instrumentation (deterministic class): every
-/// recorded copy bumps these, across all [`Transport`] instances.  The
-/// handles are interned once; the hot path pays one relaxed atomic add
-/// per field.  Per-run accounting never reads these back — it comes from
-/// each run's own log via [`Transport::run_metrics`], so concurrent runs
-/// in one process cannot contaminate each other's reports.
-struct FabricMetrics {
-    frames: Counter,
-    bytes: Counter,
-    retries: Counter,
-    frame_bytes: Histogram,
-}
-
-fn fabric_metrics() -> &'static FabricMetrics {
-    static METRICS: OnceLock<FabricMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| FabricMetrics {
-        frames: secmed_obs::metrics::counter(Class::Deterministic, "transport.frames"),
-        bytes: secmed_obs::metrics::counter(Class::Deterministic, "transport.bytes"),
-        retries: secmed_obs::metrics::counter(Class::Deterministic, "transport.retries"),
-        frame_bytes: secmed_obs::metrics::histogram(Class::Deterministic, "transport.frame_bytes"),
-    })
 }
 
 /// One recorded message: an encoded frame in flight.
@@ -747,11 +723,6 @@ impl Transport {
     }
 
     fn fault_event(&self, kind: FaultKind, label: &str, step: u64, attempt: u32) {
-        secmed_obs::metrics::incr(
-            Class::Deterministic,
-            &format!("transport.fault.{}", kind.tag()),
-            1,
-        );
         secmed_obs::trace::event_with(
             "transport.fault",
             [
@@ -774,15 +745,6 @@ impl Transport {
         attempt: u32,
         fault: Option<FaultKind>,
     ) {
-        let m = fabric_metrics();
-        m.frames.incr();
-        m.bytes.add(payload.len() as u64);
-        m.frame_bytes.observe(payload.len() as u64);
-        secmed_obs::metrics::incr(
-            Class::Deterministic,
-            &format!("transport.link.{from}->{to}.bytes"),
-            payload.len() as u64,
-        );
         self.log.push(Envelope {
             from,
             to,
@@ -846,45 +808,40 @@ impl Transport {
             .fold((0, 0), |(m, b), e| (m + 1, b + e.bytes()))
     }
 
-    /// This fabric's deterministic-class metrics, computed from its own
-    /// log alone (never from the process-global registry, which other
-    /// concurrent runs also feed), sorted by name:
-    /// frame/byte/retry/overhead totals, per-fault-kind counts, bytes
-    /// received per party, and the frame-size distribution summary.
-    /// Every value is a pure function of the scenario seed, so the result
-    /// is safe inside the byte-identical `RunReport` fingerprint.
+    /// This fabric's account as deterministic counts, computed from its
+    /// own log alone, sorted by name: frame/byte/retry/overhead totals,
+    /// per-fault-kind counts and bytes per directed link
+    /// (`transport.link.<from>-><to>.bytes`).  Every value is a count, so
+    /// accounts sum exactly across plan nodes and across runs, and a pure
+    /// function of the scenario seed, so the result is safe inside the
+    /// byte-identical `RunReport` fingerprint.
     pub fn run_metrics(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = Vec::new();
-        out.push(("transport.frames".to_string(), self.log.len() as u64));
-        out.push(("transport.bytes".to_string(), self.total_bytes() as u64));
-        out.push(("transport.retries".to_string(), self.retries));
         let (om, ob) = self.overhead();
-        out.push(("transport.overhead_frames".to_string(), om as u64));
-        out.push(("transport.overhead_bytes".to_string(), ob as u64));
-        let mut faults: std::collections::BTreeMap<&'static str, u64> =
-            std::collections::BTreeMap::new();
-        let mut per_receiver: std::collections::BTreeMap<String, u64> =
-            std::collections::BTreeMap::new();
-        let mut sizes = Hist::new();
+        let mut out = vec![
+            ("transport.frames".to_string(), self.log.len() as u64),
+            ("transport.bytes".to_string(), self.total_bytes() as u64),
+            ("transport.retries".to_string(), self.retries),
+            ("transport.overhead_frames".to_string(), om as u64),
+            ("transport.overhead_bytes".to_string(), ob as u64),
+        ];
+        let mut faults: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut links: BTreeMap<(&PartyId, &PartyId), u64> = BTreeMap::new();
         for e in &self.log {
             if let Some(kind) = e.fault {
                 *faults.entry(kind.tag()).or_insert(0) += 1;
             }
-            *per_receiver.entry(e.to.to_string()).or_insert(0) += e.bytes() as u64;
-            sizes.observe(e.bytes() as u64);
+            *links.entry((&e.from, &e.to)).or_insert(0) += e.bytes() as u64;
         }
-        for (tag, n) in faults {
-            out.push((format!("transport.fault.{tag}"), n));
-        }
-        for (party, bytes) in per_receiver {
-            out.push((format!("transport.to.{party}.bytes"), bytes));
-        }
-        if !sizes.is_empty() {
-            out.push(("transport.frame_bytes.p50".to_string(), sizes.p50()));
-            out.push(("transport.frame_bytes.p90".to_string(), sizes.p90()));
-            out.push(("transport.frame_bytes.p99".to_string(), sizes.p99()));
-            out.push(("transport.frame_bytes.max".to_string(), sizes.max()));
-        }
+        out.extend(
+            faults
+                .into_iter()
+                .map(|(tag, n)| (format!("transport.fault.{tag}"), n)),
+        );
+        out.extend(
+            links
+                .into_iter()
+                .map(|((from, to), n)| (format!("transport.link.{from}->{to}.bytes"), n)),
+        );
         out.sort();
         out
     }
@@ -1073,7 +1030,6 @@ fn deliver_over<F: Fabric>(
     for attempt in 1..=max {
         if attempt > 1 {
             fabric.recorder_mut().retries += 1;
-            fabric_metrics().retries.incr();
         }
         let verdict = fabric
             .recorder_mut()

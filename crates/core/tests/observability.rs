@@ -128,8 +128,8 @@ fn check(kind: ProtocolKind, seed: &str) {
     assert_eq!(unified.result_rows, w.expected_join_size as u64);
 
     // Deterministic run metrics reconcile with the recorders they mirror:
-    // fabric totals, per-receiver bytes, the Table 2 census, and the
-    // result cardinality — and the unified report carries them verbatim.
+    // fabric totals, per-link bytes, the Table 2 census, and the result
+    // cardinality — and the unified report carries them verbatim.
     let metric = |name: &str| {
         report
             .metrics
@@ -148,22 +148,39 @@ fn check(kind: ProtocolKind, seed: &str) {
         "{key}: byte metric drifted from the transport log"
     );
     assert_eq!(metric("transport.retries"), Some(0), "{key}: fault-free");
-    for party in ["client", "mediator", "source:r1", "source:r2"] {
-        let expected = report
+    // One byte count per directed link the log holds, each the sum of that
+    // link's envelopes, together every byte of the log.
+    let links: Vec<u64> = report
+        .metrics
+        .iter()
+        .filter(|(k, _)| k.starts_with("transport.link."))
+        .map(|(_, v)| *v)
+        .collect();
+    assert_eq!(
+        links.len(),
+        unified.edges.len(),
+        "{key}: one count per link"
+    );
+    for e in report.transport.log() {
+        let expected: u64 = report
             .transport
-            .log()
+            .link(&e.from, &e.to)
             .iter()
-            .filter(|e| e.to.to_string() == party)
-            .map(|e| e.bytes() as u64)
-            .sum::<u64>();
-        if expected > 0 {
-            assert_eq!(
-                metric(&format!("transport.to.{party}.bytes")),
-                Some(expected),
-                "{key}: per-receiver bytes drifted for {party}"
-            );
-        }
+            .map(|x| x.bytes() as u64)
+            .sum();
+        assert_eq!(
+            metric(&format!("transport.link.{}->{}.bytes", e.from, e.to)),
+            Some(expected),
+            "{key}: link bytes drifted for {} -> {}",
+            e.from,
+            e.to
+        );
     }
+    assert_eq!(
+        links.iter().sum::<u64>(),
+        report.transport.total_bytes() as u64,
+        "{key}: link bytes must partition the log"
+    );
     for (op, count) in &report.primitives {
         assert_eq!(
             metric(&secmed_crypto::metrics::registry_name(*op)),

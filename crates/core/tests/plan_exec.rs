@@ -8,9 +8,9 @@
 //! reference evaluation, and the per-node §6 predicted-vs-observed
 //! divergence staying within tolerance.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use relalg::Relation;
+use relalg::{Relation, Schema, Type, Value};
 use secmed_core::observe::unified_plan_report;
 use secmed_core::plan::{LeakageBudget, Plan, PlanReport, PlanRunOptions, SourceSpec};
 use secmed_core::{
@@ -19,7 +19,7 @@ use secmed_core::{
 };
 use secmed_crypto::drbg::HmacDrbg;
 use secmed_crypto::group::{GroupSize, SafePrimeGroup};
-use secmed_plan::{stats_of, Planner};
+use secmed_plan::{stats_of, PlanError, Planner};
 use secmed_testkit::federation::{self, Federation, FederationSpec};
 use secmed_testkit::Gen;
 
@@ -79,6 +79,28 @@ fn assert_same_rows(got: &Relation, want: &Relation, context: &str) {
     let g = got.project(&names).unwrap().sorted();
     let w = want.project(&names).unwrap().sorted();
     assert_eq!(g.tuples(), w.tuples(), "{context}: result drifted");
+}
+
+/// A plan report's metrics are the per-key sums of its nodes' accounts,
+/// which hold counts only: no frame-size percentile may appear.
+fn assert_metrics_add_up(metrics: &[(String, u64)], exec: &PlanReport, context: &str) {
+    let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
+    for n in &exec.nodes {
+        for (k, v) in &n.report.metrics {
+            *sums.entry(k).or_insert(0) += v;
+        }
+    }
+    let want: Vec<(String, u64)> = sums.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+    assert_eq!(
+        metrics, want,
+        "{context}: plan metrics are not the nodes' sums"
+    );
+    assert!(
+        !metrics
+            .iter()
+            .any(|(k, _)| k.starts_with("transport.frame_bytes")),
+        "{context}: a frame-size percentile does not add across nodes"
+    );
 }
 
 fn run(fed: &Federation, plan: &Plan, opts: &PlanRunOptions) -> PlanReport {
@@ -216,9 +238,78 @@ fn every_protocol_assignment_executes_and_matches_the_reference() {
                 );
             }
             let unified = unified_plan_report(&plan, &exec);
+            assert_metrics_add_up(&unified.metrics, &exec, &context);
             assert_eq!(unified.plan.len(), plan.nodes.len());
             assert_eq!(unified.result_rows, want.len() as u64);
             assert!(unified.plan.iter().all(|n| n.protocol == kind.key()));
         }
     }
+}
+
+/// a(n, m, x), b(n, y) and c(n, m, z): a and c share two names, so in every
+/// join order the node that brings the second of them in joins on (m, n).
+fn composite_federation() -> Federation {
+    let table = |attrs: &[&str], row: &dyn Fn(i64) -> Vec<i64>| {
+        let schema: Vec<(&str, Type)> = attrs.iter().map(|a| (*a, Type::Int)).collect();
+        let rows = (0..40)
+            .map(|i| row(i).into_iter().map(Value::Int).collect())
+            .collect();
+        Relation::build(Schema::new(&schema), rows).unwrap()
+    };
+    let mut catalog = BTreeMap::new();
+    catalog.insert(
+        "a".to_string(),
+        table(&["n", "m", "x"], &|i| vec![i % 20, i % 7, i]),
+    );
+    catalog.insert(
+        "b".to_string(),
+        table(&["n", "y"], &|i| vec![i % 20, 1000 + i]),
+    );
+    catalog.insert(
+        "c".to_string(),
+        table(&["n", "m", "z"], &|i| vec![i % 20, i % 7, 2000 + i]),
+    );
+    Federation { catalog }
+}
+
+#[test]
+fn composite_keys_join_on_every_shared_name_and_never_via_das() {
+    let fed = composite_federation();
+    let stats = stats_of(&fed.catalog);
+    let query = "select * from a natural join b natural join c";
+
+    // DAS indexes one attribute, and every order has a composite node.
+    let das_only = Planner::with_candidates(vec![ProtocolKind::Das(DasConfig::default())]);
+    match das_only.plan(query, &fed.schemas(), &stats, LeakageBudget::open()) {
+        Err(PlanError::NoAdmissibleProtocol { details, .. }) => {
+            assert!(
+                details.contains("das: inadmissible[composite key]"),
+                "{details}"
+            )
+        }
+        other => panic!("expected NoAdmissibleProtocol, got {other:?}"),
+    }
+
+    let plan = Planner::new()
+        .plan(query, &fed.schemas(), &stats, LeakageBudget::open())
+        .unwrap();
+    assert!(
+        plan.nodes.iter().any(|n| n.attrs == ["m", "n"]),
+        "no node joins on the composite key: {plan:?}"
+    );
+    assert!(plan
+        .nodes
+        .iter()
+        .all(|n| n.attrs.len() == 1 || n.protocol.key() != "das"));
+    let exec = run(&fed, &plan, &PlanRunOptions::default());
+    for n in &exec.nodes {
+        assert_eq!(
+            n.divergence.max_ppm, 0,
+            "{}: the §6 gate predicted from other attributes than the node joined on",
+            n.label
+        );
+    }
+    let want = reference(&fed, query);
+    assert_eq!(want.len(), 80);
+    assert_same_rows(&exec.result, &want, "composite keys");
 }

@@ -14,10 +14,10 @@
 //!   protocol run, rendered as JSON or an aligned table,
 //! * [`bench`] — a micro-benchmark harness (warmup, batch calibration,
 //!   mean/median/stddev) used by every bench binary,
-//! * [`metrics`] — the process-global metrics registry: counters, gauges,
-//!   and log₂ histograms, split into a *deterministic* class (seed-pure,
-//!   safe inside `RunReport`) and a *timing* class (wall-clock, exported
-//!   separately behind a [`metrics::Clock`] abstraction),
+//! * [`metrics`] — the process-global metrics registry: counters and log₂
+//!   histograms, split into a *deterministic* class (seed-pure, each
+//!   finished run's account published once) and a *timing* class
+//!   (wall-clock, exported separately),
 //! * [`profile`] — span-profile aggregation: folds a trace into a
 //!   self/total-time tree with collapsed-stack (flamegraph) output,
 //! * [`trajectory`] — the `BENCH_*.json` performance-trajectory schema,
@@ -36,7 +36,7 @@ pub mod trace;
 pub mod trajectory;
 
 pub use json::Json;
-pub use metrics::{Class, Counter, Gauge, Hist, Histogram, MetricsSnapshot};
+pub use metrics::{Class, Counter, Hist, Histogram, MetricsSnapshot};
 pub use profile::{Profile, ProfileNode};
 pub use report::{EdgeStat, OpStat, PhaseStat, RunReport};
 pub use trace::{event, event_with, span, SpanGuard};

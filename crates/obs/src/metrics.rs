@@ -1,5 +1,5 @@
-//! The metrics registry: named counters, gauges, and log₂-bucketed
-//! histograms, split into two classes.
+//! The metrics registry: named counters and log₂-bucketed histograms,
+//! split into two classes.
 //!
 //! * [`Class::Deterministic`] — operation counts, frames, bytes, retries:
 //!   pure functions of the scenario seed.  The engine records its
@@ -11,10 +11,11 @@
 //!
 //! Clock reads are confined to this crate (the repo's determinism lint
 //! bans `Instant` elsewhere): instrumented code in core/pool/crypto calls
-//! [`start_timer`], and the read happens here, behind the [`Clock`]
-//! abstraction — swap in a [`ManualClock`] to make timing tests exact.
+//! [`start_timer`] or [`sleep_ns`], and the read happens here.  Components
+//! that take a [`Clock`] by parameter (the server) run on a
+//! [`ManualClock`] in tests.
 //!
-//! Handles are interned: [`counter`]/[`gauge`]/[`histogram`] return
+//! Handles are interned: [`counter`]/[`histogram`] return
 //! `Copy` handles backed by leaked atomics, so hot paths pay one atomic
 //! RMW per event and can cache the handle in a `OnceLock`.  Counter and
 //! histogram updates commute, so parallel workers produce the same
@@ -23,7 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::json::Json;
 
@@ -70,9 +71,7 @@ fn bucket_bound(i: usize) -> u64 {
 }
 
 /// A plain (non-atomic) log₂ histogram: the snapshot/merge/percentile
-/// arithmetic, reused by the atomic registry cells and by code that
-/// builds per-run histograms locally (e.g. the engine's frame-size
-/// distribution).
+/// arithmetic behind the atomic registry cells.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Hist {
     buckets: [u64; HIST_BUCKETS],
@@ -238,29 +237,6 @@ impl Counter {
     }
 }
 
-/// A point-in-time level (last write wins).
-#[derive(Clone, Copy)]
-pub struct Gauge(&'static AtomicU64);
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if `v` is larger.
-    #[inline]
-    pub fn raise(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// A registered log₂ histogram.
 #[derive(Clone, Copy)]
 pub struct Histogram(&'static HistCell);
@@ -281,7 +257,6 @@ impl Histogram {
 /// What kind of instrument a name is registered as.
 enum Slot {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -304,20 +279,6 @@ pub fn counter(class: Class, name: &str) -> Counter {
     let fresh = Counter(Box::leak(Box::new(AtomicU64::new(0))));
     if !reg.contains_key(name) {
         reg.insert(name.to_string(), (class, Slot::Counter(fresh)));
-    }
-    fresh
-}
-
-/// Interns (or retrieves) the gauge `name` (same collision contract as
-/// [`counter`]).
-pub fn gauge(class: Class, name: &str) -> Gauge {
-    let mut reg = lock_registry();
-    if let Some((_, Slot::Gauge(g))) = reg.get(name) {
-        return *g;
-    }
-    let fresh = Gauge(Box::leak(Box::new(AtomicU64::new(0))));
-    if !reg.contains_key(name) {
-        reg.insert(name.to_string(), (class, Slot::Gauge(fresh)));
     }
     fresh
 }
@@ -345,18 +306,14 @@ pub fn incr(class: Class, name: &str, by: u64) {
     counter(class, name).add(by);
 }
 
-/// One-shot histogram observation (interns on first use).
-pub fn observe(class: Class, name: &str, v: u64) {
-    histogram(class, name).observe(v);
-}
-
 // ---------------------------------------------------------------------
 // Clock abstraction
 // ---------------------------------------------------------------------
 
-/// A nanosecond clock.  The registry's default reads the process
-/// monotonic clock (via [`crate::trace::now_ns`], the one sanctioned
-/// `Instant` user); tests install a [`ManualClock`] for exact timings.
+/// A nanosecond clock, for components that take their clock by parameter:
+/// [`MonotonicClock`] reads the process monotonic clock (via
+/// [`crate::trace::now_ns`], the one sanctioned `Instant` user), and tests
+/// pass a [`ManualClock`] for exact timings.
 pub trait Clock: Send + Sync {
     /// Current time in nanoseconds (monotonic, arbitrary epoch).
     fn now_ns(&self) -> u64;
@@ -395,9 +352,7 @@ impl Clock for ManualClock {
     }
 }
 
-/// The process monotonic clock as an explicit [`Clock`] value, for
-/// components that take a clock by parameter (the server, the socket
-/// fabric's reconnect backoff) rather than through the registry global.
+/// The process monotonic clock as an explicit [`Clock`] value.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MonotonicClock;
 
@@ -407,36 +362,11 @@ impl Clock for MonotonicClock {
     }
 }
 
-static CLOCK: Mutex<Option<Arc<dyn Clock>>> = Mutex::new(None);
-
-/// Installs a clock for all subsequent timers (tests only, typically).
-pub fn set_clock(clock: Arc<dyn Clock>) {
-    *CLOCK.lock().unwrap_or_else(|e| e.into_inner()) = Some(clock);
-}
-
-/// Restores the default monotonic clock.
-pub fn reset_clock() {
-    *CLOCK.lock().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
-fn clock_now_ns() -> u64 {
-    let installed = CLOCK.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    match installed {
-        Some(c) => c.now_ns(),
-        None => crate::trace::now_ns(),
-    }
-}
-
-/// Sleeps through the installed clock (or the real one when none is
-/// installed).  Like [`start_timer`], this is the only sanctioned way
-/// instrumented code outside `crates/obs`/`crates/bench` parks a thread
-/// on wall time — under a [`ManualClock`] it merely advances test time.
+/// Parks the calling thread for `ns` nanoseconds of wall time.  Like
+/// [`start_timer`], this is the only sanctioned way instrumented code
+/// outside `crates/obs`/`crates/bench` waits on the wall clock.
 pub fn sleep_ns(ns: u64) {
-    let installed = CLOCK.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    match installed {
-        Some(c) => c.sleep_ns(ns),
-        None => MonotonicClock.sleep_ns(ns),
-    }
+    MonotonicClock.sleep_ns(ns);
 }
 
 /// A running timer; dropping it records the elapsed nanoseconds into the
@@ -448,17 +378,18 @@ pub struct Timer {
 
 impl Drop for Timer {
     fn drop(&mut self) {
-        self.hist.observe(clock_now_ns().saturating_sub(self.start));
+        self.hist
+            .observe(crate::trace::now_ns().saturating_sub(self.start));
     }
 }
 
 /// Starts a timer against the timing-class histogram `name`.  This is
 /// the only way instrumented code outside `crates/obs`/`crates/bench`
-/// touches the wall clock — the read happens here, behind [`Clock`].
+/// reads the wall clock — the read happens here.
 pub fn start_timer(name: &str) -> Timer {
     Timer {
         hist: histogram(Class::Timing, name),
-        start: clock_now_ns(),
+        start: crate::trace::now_ns(),
     }
 }
 
@@ -471,8 +402,6 @@ pub fn start_timer(name: &str) -> Timer {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, (Class, u64)>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, (Class, u64)>,
     /// Histogram contents by name.
     pub histograms: BTreeMap<String, (Class, Hist)>,
 }
@@ -486,9 +415,6 @@ pub fn snapshot() -> MetricsSnapshot {
             Slot::Counter(c) => {
                 out.counters.insert(name.clone(), (*class, c.get()));
             }
-            Slot::Gauge(g) => {
-                out.gauges.insert(name.clone(), (*class, g.get()));
-            }
             Slot::Histogram(h) => {
                 out.histograms.insert(name.clone(), (*class, h.load()));
             }
@@ -499,8 +425,7 @@ pub fn snapshot() -> MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// The delta `self - earlier`: counters and histograms diff
-    /// (zero/empty entries dropped); gauges keep their current level
-    /// (a level has no meaningful difference).
+    /// (zero/empty entries dropped).
     pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         for (name, (class, v)) in &self.counters {
@@ -509,9 +434,6 @@ impl MetricsSnapshot {
             if d > 0 {
                 out.counters.insert(name.clone(), (*class, d));
             }
-        }
-        for (name, (class, v)) in &self.gauges {
-            out.gauges.insert(name.clone(), (*class, *v));
         }
         for (name, (class, h)) in &self.histograms {
             let d = match earlier.histograms.get(name) {
@@ -527,15 +449,13 @@ impl MetricsSnapshot {
 
     /// Only the metrics of one class.
     pub fn only(&self, class: Class) -> MetricsSnapshot {
-        let keep_c = |m: &BTreeMap<String, (Class, u64)>| {
-            m.iter()
+        MetricsSnapshot {
+            counters: self
+                .counters
+                .iter()
                 .filter(|(_, (c, _))| *c == class)
                 .map(|(k, v)| (k.clone(), *v))
-                .collect()
-        };
-        MetricsSnapshot {
-            counters: keep_c(&self.counters),
-            gauges: keep_c(&self.gauges),
+                .collect(),
             histograms: self
                 .histograms
                 .iter()
@@ -557,26 +477,17 @@ impl MetricsSnapshot {
 
     /// Whether the snapshot carries no data at all.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// The snapshot as a JSON object:
-    /// `{"counters":{..},"gauges":{..},"histograms":{name:{count,p50,..}}}`.
+    /// `{"counters":{..},"histograms":{name:{count,p50,..}}}`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             (
                 "counters",
                 Json::Object(
                     self.counters
-                        .iter()
-                        .map(|(k, (_, v))| (k.clone(), Json::UInt(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                Json::Object(
-                    self.gauges
                         .iter()
                         .map(|(k, (_, v))| (k.clone(), Json::UInt(*v)))
                         .collect(),
@@ -611,18 +522,6 @@ mod tests {
         assert_eq!(a.get(), 3);
         incr(Class::Deterministic, "t.m1.hits", 4);
         assert_eq!(b.get(), 7);
-    }
-
-    #[test]
-    fn gauges_set_raise_and_get() {
-        let g = gauge(Class::Deterministic, "t.m2.level");
-        g.set(10);
-        g.raise(7);
-        assert_eq!(g.get(), 10, "raise below the level is a no-op");
-        g.raise(15);
-        assert_eq!(g.get(), 15);
-        g.set(3);
-        assert_eq!(g.get(), 3);
     }
 
     #[test]
@@ -801,19 +700,14 @@ mod tests {
     }
 
     #[test]
-    fn manual_clock_makes_timers_exact() {
-        let clock = Arc::new(ManualClock::at(1_000));
-        set_clock(clock.clone());
+    fn a_timer_records_one_timing_sample() {
         let before = snapshot();
         {
             let _t = start_timer("t.m7.phase_ns");
-            clock.advance(250);
         }
-        reset_clock();
         let delta = snapshot().since(&before);
         let h = delta.histogram("t.m7.phase_ns").expect("timer recorded");
         assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 250);
         // Timers are timing-class: a deterministic filter excludes them.
         assert!(delta
             .only(Class::Deterministic)
@@ -824,15 +718,12 @@ mod tests {
     #[test]
     fn snapshot_json_has_all_sections() {
         counter(Class::Deterministic, "t.m8.c").add(2);
-        gauge(Class::Deterministic, "t.m8.g").set(9);
         histogram(Class::Deterministic, "t.m8.h").observe(5);
         let j = snapshot().to_json().render();
         for needle in [
             r#""t.m8.c":2"#,
-            r#""t.m8.g":9"#,
             r#""t.m8.h":{"count":"#,
             r#""counters""#,
-            r#""gauges""#,
             r#""histograms""#,
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");

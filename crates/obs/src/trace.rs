@@ -289,11 +289,6 @@ pub fn take_since(mark: usize) -> Vec<Record> {
     buf.split_off(mark)
 }
 
-/// A copy of every record currently buffered.
-pub fn snapshot() -> Vec<Record> {
-    BUFFER.lock().unwrap().clone()
-}
-
 /// Clears the buffer (ids keep increasing; the epoch is unchanged).
 pub fn reset() {
     BUFFER.lock().unwrap().clear();

@@ -586,13 +586,13 @@ mod tests {
             .insert("pool.calls".into(), (Class::Deterministic, 44));
         fresh
             .deterministic
-            .gauges
-            .insert("server.peak".into(), (Class::Deterministic, 2));
+            .counters
+            .insert("run.result_rows".into(), (Class::Deterministic, 2));
         assert_eq!(
             diffs(&fresh, &baseline()),
             [
                 "metrics.deterministic.counters.pool.calls: 44, baseline 48",
-                "metrics.deterministic.gauges.server.peak: 2, baseline absent",
+                "metrics.deterministic.counters.run.result_rows: 2, baseline absent",
             ]
         );
     }

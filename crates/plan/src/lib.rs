@@ -248,7 +248,7 @@ impl Planner {
         let mut best: Option<(u64, Vec<String>, Vec<PlanNode>)> = None;
         let mut last_err: Option<PlanError> = None;
         for order in &orders {
-            match self.plan_order(&graph, stats, &budget, order) {
+            match self.plan_order(schemas, stats, &budget, order) {
                 Ok((cost, nodes)) => {
                     let better = match &best {
                         None => true,
@@ -280,7 +280,7 @@ impl Planner {
     /// Builds and scores the node list for one table order.
     fn plan_order(
         &self,
-        graph: &QueryGraph,
+        schemas: &BTreeMap<String, Schema>,
         stats: &BTreeMap<String, SourceStats>,
         budget: &LeakageBudget,
         order: &[String],
@@ -291,7 +291,7 @@ impl Planner {
         let mut current_name = order[0].clone();
         for (i, table) in order.iter().enumerate().skip(1) {
             let right = Est::of(&stats[table]);
-            let attrs = attrs_to_set(graph, &order[..i], table);
+            let attrs = shared_attrs(schemas, &order[..i], table);
             let est_rows = join_rows(&current, &right, &attrs);
             let shape = WorkloadShape {
                 left_rows: current.rows as usize,
@@ -305,7 +305,8 @@ impl Planner {
                 server_result: est_rows as usize,
             };
             let label = format!("{current_name} ⨝ {table}");
-            let (protocol, predicted, rationale, cost) = self.choose(budget, &shape, &label)?;
+            let (protocol, predicted, rationale, cost) =
+                self.choose(budget, &shape, attrs.len(), &label)?;
             total = total.saturating_add(cost);
             nodes.push(PlanNode {
                 left: if i == 1 {
@@ -343,17 +344,23 @@ impl Planner {
         Ok((total, nodes))
     }
 
-    /// Picks the cheapest admissible candidate for one node.
+    /// Picks the cheapest admissible candidate for one node joining on
+    /// `key_attrs` attributes.
     fn choose(
         &self,
         budget: &LeakageBudget,
         shape: &WorkloadShape,
+        key_attrs: usize,
         label: &str,
     ) -> Result<(ProtocolKind, PredictedOps, String, u64), PlanError> {
         let mut verdicts: Vec<String> = Vec::new();
         let mut winner: Option<(ProtocolKind, PredictedOps, u64)> = None;
         for kind in &self.candidates {
-            let vs = violations(budget, &exposure(kind));
+            let mut vs = violations(budget, &exposure(kind));
+            // DAS indexes a single join attribute (paper Section 2).
+            if matches!(kind, ProtocolKind::Das(_)) && key_attrs > 1 {
+                vs.push("composite key");
+            }
             if vs.is_empty() {
                 let predicted = predict(kind, shape);
                 let cost = predicted.weighted_cost();
@@ -378,9 +385,32 @@ impl Planner {
     }
 }
 
-/// Join attributes between `table` and the already-joined `set`: the
-/// sorted union of every edge's attributes.  Empty means joining `table`
-/// next would be a cross product.
+/// The attributes a left-deep node joining `table` onto the already-joined
+/// `set` joins on: the sorted names `table` shares with any table of the
+/// set, exactly what the engine's node query joins on.  The graph's edges
+/// cannot say this, since they assign a name several tables carry to one
+/// pair of them.
+fn shared_attrs(schemas: &BTreeMap<String, Schema>, set: &[String], table: &str) -> Vec<String> {
+    let names = |t: &str| -> Vec<&str> {
+        schemas.get(t).map_or_else(Vec::new, |s| {
+            s.attributes().iter().map(|a| a.base_name()).collect()
+        })
+    };
+    let right = names(table);
+    let mut attrs: Vec<String> = set
+        .iter()
+        .flat_map(|t| names(t))
+        .filter(|a| right.contains(a))
+        .map(str::to_string)
+        .collect();
+    attrs.sort();
+    attrs.dedup();
+    attrs
+}
+
+/// The query's join edges between `table` and the already-joined `set`, as
+/// the sorted union of their attributes.  Empty means joining `table` next
+/// would be a cross product; order enumeration reads nothing else from it.
 fn attrs_to_set(graph: &QueryGraph, set: &[String], table: &str) -> Vec<String> {
     let mut attrs: Vec<String> = Vec::new();
     for s in set {
