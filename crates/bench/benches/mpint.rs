@@ -1,5 +1,6 @@
 //! Big-integer ablations (DESIGN.md §3):
 //!
+//! * one Montgomery product, the unit every exponentiation path counts,
 //! * Montgomery vs plain division-based modular exponentiation — justifies
 //!   the Montgomery context every cryptosystem leans on,
 //! * fixed-base tables vs the Montgomery ladder — justifies the `g` table
@@ -25,6 +26,10 @@ fn bench_modpow(filter: &Option<String>) {
         let base = mpint::random::random_below(&mut rng, &m);
         let exp = mpint::random::random_bits(&mut rng, bits);
         let ctx = Montgomery::new(m.clone());
+        let (am, bm) = (ctx.to_mont(&base), ctx.to_mont(&exp));
+        suite.bench(Bench::new(format!("mont-mul/{bits}")), || {
+            black_box(ctx.mont_mul(&am, &bm));
+        });
         suite.bench(Bench::new(format!("montgomery/{bits}")), || {
             black_box(ctx.modpow(&base, &exp));
         });

@@ -256,8 +256,9 @@ impl Engine {
     /// the pool hands to its workers, so the report's census is exactly
     /// this run's even while other runs share the process.  The report is
     /// the run's one account: its counts reach the process registry once,
-    /// when it is assembled here.  A run that returns `Err` publishes only
-    /// its census.
+    /// when it is assembled here, together with the run's count in
+    /// `engine.runs.<key>`.  A run that returns `Err` publishes only its
+    /// census.
     pub fn run_on<F: Fabric>(
         mut fabric: F,
         sc: &mut Scenario,
@@ -269,11 +270,6 @@ impl Engine {
         );
         let kind = opts.protocol;
         let pool = Pool::new(opts.exec);
-        secmed_obs::metrics::incr(
-            secmed_obs::metrics::Class::Deterministic,
-            &format!("engine.runs.{}", kind.key()),
-            1,
-        );
         // Timing class: the wall clock is read inside obs — this module
         // never names `Instant`.
         let _run_timer = secmed_obs::metrics::start_timer("engine.run_ns");
@@ -333,7 +329,7 @@ impl Engine {
         // determinism fingerprint covers them at every thread count.
         let mut metrics = transport.run_metrics();
         metrics.push(("run.result_rows".to_string(), result.len() as u64));
-        publish(&metrics, &transport);
+        publish(kind, &metrics, &transport);
         let primitives = secmed_crypto::metrics::census(run.census());
         for &(op, n) in &primitives {
             metrics.push((secmed_crypto::metrics::registry_name(op), n));
@@ -376,12 +372,17 @@ impl Engine {
     }
 }
 
-/// Adds a finished run's account to the process registry, once: every
-/// count, and every recorded frame's size to the `transport.frame_bytes`
-/// histogram.  The account holds no census; the run scope publishes that
-/// when it closes.
-fn publish(account: &[(String, u64)], transport: &Transport) {
+/// Adds a finished run's account to the process registry, once: the run
+/// itself to `engine.runs.<key>`, every count, and every recorded frame's
+/// size to the `transport.frame_bytes` histogram.  The account holds no
+/// census; the run scope publishes that when it closes.
+fn publish(kind: ProtocolKind, account: &[(String, u64)], transport: &Transport) {
     use secmed_obs::metrics::{histogram, incr, Class};
+    incr(
+        Class::Deterministic,
+        &format!("engine.runs.{}", kind.key()),
+        1,
+    );
     for (name, n) in account {
         incr(Class::Deterministic, name, *n);
     }

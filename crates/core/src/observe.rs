@@ -12,7 +12,7 @@ use secmed_obs::report::{EdgeStat, OpStat, PlanNodeStat, RunReport as UnifiedRep
 use secmed_obs::trace::Record;
 
 use crate::plan::{Plan, PlanReport};
-use crate::protocol::{ProtocolKind, RunReport};
+use crate::protocol::{ProtocolKind, RunOutcome, RunReport};
 use crate::transport::PartyId;
 use crate::workload::WorkloadSpec;
 
@@ -117,11 +117,12 @@ pub fn plan_stats(exec: &PlanReport) -> Vec<PlanNodeStat> {
 ///
 /// Traffic, primitive, interaction, and metric sections sum every node's
 /// own [`unified_report`] (per edge / primitive / partner / metric key, in
-/// first-use order), the leakage section carries each node's audited
-/// views prefixed with its label, and the `plan` section records the
-/// per-node protocol choice and divergence cross-check.  Every number is
-/// drawn from the nodes' own recorders, so the report is byte-identical
-/// across reruns and thread counts.
+/// first-use order), the outcome is the most severe node's, the leakage
+/// section carries each node's audited views prefixed with its label,
+/// and the `plan` section records the per-node protocol choice and
+/// divergence cross-check.  Every number is drawn from the nodes' own
+/// recorders, so the report is byte-identical across reruns and thread
+/// counts.
 pub fn unified_plan_report(plan: &Plan, exec: &PlanReport) -> UnifiedReport {
     let mut sum = UnifiedReport {
         protocol: "plan".to_string(),
@@ -135,7 +136,13 @@ pub fn unified_plan_report(plan: &Plan, exec: &PlanReport) -> UnifiedReport {
         interactions: Vec::new(),
         leakage: Vec::new(),
         result_rows: exec.result.len() as u64,
-        outcome: "clean".to_string(),
+        outcome: exec
+            .nodes
+            .iter()
+            .map(|n| &n.report.outcome)
+            .max_by_key(|o| severity(o))
+            .map_or("clean", RunOutcome::key)
+            .to_string(),
         retries: 0,
         metrics: Vec::new(),
         plan: plan_stats(exec),
@@ -169,12 +176,20 @@ pub fn unified_plan_report(plan: &Plan, exec: &PlanReport) -> UnifiedReport {
                 .map(|line| format!("{}: {line}", n.label)),
         );
         sum.retries += node.retries;
-        if sum.outcome == "clean" {
-            sum.outcome = node.outcome;
-        }
     }
     sum.metrics.sort();
     sum
+}
+
+/// How bad a node outcome is: a plan reports its worst node's, ranked
+/// aborted > degraded > recovered > clean.
+fn severity(outcome: &RunOutcome) -> u8 {
+    match outcome {
+        RunOutcome::Clean => 0,
+        RunOutcome::RecoveredWithRetries { .. } => 1,
+        RunOutcome::Degraded { .. } => 2,
+        RunOutcome::Aborted { .. } => 3,
+    }
 }
 
 /// Adds `rows` into `acc` by key, appending keys in first-use order.

@@ -518,8 +518,11 @@ impl Transport {
         self.plan = Some(plan);
     }
 
-    /// Records an already-encoded frame as an intact first-attempt copy.
-    pub fn send(&mut self, from: PartyId, to: PartyId, label: impl Into<String>, payload: Vec<u8>) {
+    /// Records an already-encoded frame as an intact first-attempt copy,
+    /// so unit tests can build a log without a protocol run; every program
+    /// path records through [`Fabric::deliver`].
+    #[cfg(test)]
+    fn send(&mut self, from: PartyId, to: PartyId, label: impl Into<String>, payload: Vec<u8>) {
         self.record(from, to, &label.into(), payload, 1, None);
     }
 

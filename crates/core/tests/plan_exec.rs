@@ -14,8 +14,8 @@ use relalg::{Relation, Schema, Type, Value};
 use secmed_core::observe::unified_plan_report;
 use secmed_core::plan::{LeakageBudget, Plan, PlanReport, PlanRunOptions, SourceSpec};
 use secmed_core::{
-    AccessPolicy, CertificationAuthority, Client, CommutativeConfig, DasConfig, Engine, PmConfig,
-    Property, ProtocolKind,
+    AccessPolicy, CertificationAuthority, Client, CommutativeConfig, DasConfig, Engine, MedError,
+    PmConfig, Property, ProtocolKind, RunOutcome,
 };
 use secmed_crypto::drbg::HmacDrbg;
 use secmed_crypto::group::{GroupSize, SafePrimeGroup};
@@ -147,6 +147,44 @@ fn three_way_plan_and_report_are_identical_across_thread_counts() {
     assert_eq!(fingerprints[0], fingerprints[2], "1 vs 8 threads");
     assert!(fingerprints[0].contains(r#""protocol":"plan""#));
     assert!(fingerprints[0].contains(r#""divergence_ppm":0"#));
+}
+
+#[test]
+fn a_plan_reports_its_most_severe_node_outcome() {
+    let fed = federation_3way();
+    let plan = Planner::new()
+        .plan(
+            &fed.query(),
+            &fed.schemas(),
+            &stats_of(&fed.catalog),
+            LeakageBudget::open(),
+        )
+        .unwrap();
+    let mut exec = run(&fed, &plan, &PlanRunOptions::default());
+    assert_eq!(exec.nodes.len(), 2);
+    assert_eq!(unified_plan_report(&plan, &exec).outcome, "clean");
+    // The outcomes are set by hand: the fold, not a fault schedule, is
+    // under test.  A later, more severe node decides the plan's outcome,
+    // and an earlier, more severe one is not overridden.
+    let outcome = |key: &str| match key {
+        "recovered" => RunOutcome::RecoveredWithRetries { retries: 2 },
+        _ => RunOutcome::Degraded {
+            details: vec!["right relation withheld".to_string()],
+            retries: 1,
+        },
+    };
+    for (first, second) in [("recovered", "degraded"), ("degraded", "recovered")] {
+        exec.nodes[0].report.outcome = outcome(first);
+        exec.nodes[1].report.outcome = outcome(second);
+        let unified = unified_plan_report(&plan, &exec);
+        assert_eq!(unified.outcome, "degraded", "{first} then {second}");
+        assert_eq!(unified.retries, 3);
+    }
+    exec.nodes[1].report.outcome = RunOutcome::Aborted {
+        error: MedError::Protocol("stopped".to_string()),
+        retries: 0,
+    };
+    assert_eq!(unified_plan_report(&plan, &exec).outcome, "aborted");
 }
 
 #[test]

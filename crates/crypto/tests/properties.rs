@@ -9,7 +9,7 @@ use secmed_crypto::drbg::HmacDrbg;
 use secmed_crypto::group::{GroupSize, SafePrimeGroup};
 use secmed_crypto::hmac::{hkdf_expand, hkdf_extract, hmac_sha256};
 use secmed_crypto::hybrid::{HybridKeyPair, SessionKey};
-use secmed_crypto::paillier::Paillier;
+use secmed_crypto::paillier::{Paillier, PaillierKeyPair};
 use secmed_crypto::sha256::{sha256, Sha256};
 use secmed_crypto::CryptoError;
 use secmed_testkit::{cases, DEFAULT_CASES};
@@ -213,5 +213,17 @@ fn schnorr_rejects_any_message_perturbation() {
             tampered[i] ^= 0x5a;
             assert!(!kp.public().verify(&tampered, &sig));
         },
+    );
+}
+
+#[test]
+fn paillier_keygen_modulus_is_pinned() {
+    // Both primes come out of the DRBG through the small-prime screen and
+    // Miller–Rabin, so this modulus moves if either, or the draws, do.
+    let kp = PaillierKeyPair::generate(512, &mut HmacDrbg::from_label("paillier-pin"));
+    assert_eq!(
+        kp.public().n().to_hex(),
+        "8b5143480008fb0675b358d2400bc0e29360c15ccc9417ace55fe0c52d61e7d1\
+         f0d1b44d5f947562d545ef10708a6b9b6469b1c839b746ef74ccda65d5c20805"
     );
 }

@@ -73,20 +73,19 @@ impl Natural {
 
 /// Precomputed context for Montgomery arithmetic modulo an odd `n`.
 ///
-/// Values in Montgomery form are `a * R mod n` with `R = 2^(64 * limbs)`.
-/// Multiplication uses the CIOS (coarsely integrated operand scanning)
-/// method, and exponentiation a fixed 4-bit window.
+/// Values in Montgomery form are `a * R mod n` with `R = 2^(64 * k)`, `k`
+/// the limb count of `n`.  Every product, in every exponentiation path,
+/// runs one fused CIOS kernel over `k`-limb slices, and exponentiation
+/// uses a fixed 4-bit window over limb buffers allocated once per call.
 #[derive(Debug, Clone)]
 pub struct Montgomery {
     n: Natural,
     /// `-n^{-1} mod 2^64`.
     n_prime: u64,
-    /// Limb count of `n`; all Montgomery residues use exactly this length.
-    limbs: usize,
-    /// `R^2 mod n`, used to convert into Montgomery form.
-    r2: Natural,
-    /// `R mod n` — the Montgomery representation of one.
-    r1: Natural,
+    /// `R^2 mod n` in `k` limbs, used to convert into Montgomery form.
+    r2: Vec<u64>,
+    /// `R mod n` in `k` limbs — the Montgomery representation of one.
+    r1: Vec<u64>,
 }
 
 impl Montgomery {
@@ -98,7 +97,7 @@ impl Montgomery {
     pub fn new(n: Natural) -> Self {
         assert!(n.is_odd(), "Montgomery requires an odd modulus");
         assert!(n > Natural::one(), "modulus must be >= 3");
-        let limbs = n.limbs().len();
+        let k = n.limbs().len();
         let n0 = n.limbs()[0];
         // Newton iteration for the inverse of n0 mod 2^64 (5 steps suffice).
         let mut inv = n0; // correct to 3 bits
@@ -106,15 +105,18 @@ impl Montgomery {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
-        let n_prime = inv.wrapping_neg();
-        let r1 = Natural::one().shl_bits(64 * limbs as u64).rem(&n);
+        let padded = |x: Natural| {
+            let mut limbs = x.limbs().to_vec();
+            limbs.resize(k, 0);
+            limbs
+        };
+        let r1 = Natural::one().shl_bits(64 * k as u64).rem(&n);
         let r2 = r1.modmul(&r1, &n);
         Montgomery {
             n,
-            n_prime,
-            limbs,
-            r2,
-            r1,
+            n_prime: inv.wrapping_neg(),
+            r2: padded(r2),
+            r1: padded(r1),
         }
     }
 
@@ -125,63 +127,123 @@ impl Montgomery {
 
     /// Converts `a` (any size) into Montgomery form.
     pub fn to_mont(&self, a: &Natural) -> Natural {
-        self.mont_mul(&a.rem(&self.n), &self.r2)
+        self.product(a.rem(&self.n).limbs(), &self.r2)
     }
 
     /// Converts out of Montgomery form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not below `R`.
     pub fn from_mont(&self, a: &Natural) -> Natural {
-        self.mont_mul(a, &Natural::one())
+        self.product(a.limbs(), &[1])
     }
 
-    /// Montgomery product `a * b * R^{-1} mod n` via CIOS.
+    /// Montgomery product `a * b * R^{-1} mod n`, reduced when both
+    /// operands are below `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is not below `R`.
     pub fn mont_mul(&self, a: &Natural, b: &Natural) -> Natural {
-        self.mont_mul_limbs(a.limbs(), b.limbs())
+        self.product(a.limbs(), b.limbs())
     }
 
-    // CIOS interleaves reads and writes at shifted indices; indexed loops
-    // are the canonical presentation of the algorithm.
+    /// The limb count `k` of the modulus.
+    fn k(&self) -> usize {
+        self.n.limbs().len()
+    }
+
+    /// [`Montgomery::mul_into`] over operands of at most `k` limbs, in one
+    /// allocation: the result's limbs, then both operands widened to `k`.
+    fn product(&self, a: &[u64], b: &[u64]) -> Natural {
+        let k = self.k();
+        let mut buf = vec![0; 3 * k];
+        let (out, operands) = buf.split_at_mut(k);
+        let (a_k, b_k) = operands.split_at_mut(k);
+        load(a_k, a);
+        load(b_k, b);
+        self.mul_into(out, a_k, b_k);
+        buf.truncate(k);
+        Natural::from_limbs(buf)
+    }
+
+    // CIOS reads limb j and writes limb j - 1 of the accumulator in the
+    // same step; indexed loops are the canonical presentation.
     #[allow(clippy::needless_range_loop)]
-    /// [`Montgomery::mont_mul`] over raw little-endian limbs, so that a
-    /// [`FixedBase`] entry multiplies in place of its flat table.
-    fn mont_mul_limbs(&self, a_limbs: &[u64], b_limbs: &[u64]) -> Natural {
+    /// The Montgomery product `a * b * R^{-1} mod n` into `out`, by fused
+    /// CIOS: each outer step adds `a[i] * b` and `m * n` in one inner pass
+    /// with two carry chains and shifts the accumulator down a limb; the
+    /// final conditional subtraction runs in place.  All three slices
+    /// hold exactly `k` limbs; `out` is the accumulator, plus one top
+    /// limb kept in a register, so the product allocates nothing.
+    fn mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
         #[cfg(test)]
         tests::PRODUCTS.with(|c| c.set(c.get() + 1));
-        let k = self.limbs;
         let n = self.n.limbs();
-        // t has k+2 limbs: accumulator for the interleaved product/reduction.
-        let mut t = vec![0u64; k + 2];
-        for i in 0..k {
-            let ai = a_limbs.get(i).copied().unwrap_or(0);
-            // t += ai * b
-            let mut carry = 0u128;
-            for j in 0..k {
-                let bj = b_limbs.get(j).copied().unwrap_or(0);
-                let cur = t[j] as u128 + ai as u128 * bj as u128 + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[k] as u128 + carry;
-            t[k] = cur as u64;
-            t[k + 1] = (cur >> 64) as u64;
-            // m = t[0] * n' mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n_prime);
-            let mut carry = (t[0] as u128 + m as u128 * n[0] as u128) >> 64;
+        let k = n.len();
+        debug_assert!(out.len() == k && a.len() == k && b.len() == k);
+        let (out, a, b) = (&mut out[..k], &a[..k], &b[..k]);
+        out.fill(0);
+        // The accumulator stays below 2R, so its top limb is 0 or 1.
+        let mut top = 0u64;
+        for &ai in a {
+            let ai = ai as u128;
+            let cur = out[0] as u128 + ai * b[0] as u128;
+            let mut mul_carry = cur >> 64;
+            let low = cur as u64;
+            let m = low.wrapping_mul(self.n_prime) as u128;
+            let mut red_carry = (low as u128 + m * n[0] as u128) >> 64;
             for j in 1..k {
-                let cur = t[j] as u128 + m as u128 * n[j] as u128 + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
+                let cur = out[j] as u128 + ai * b[j] as u128 + mul_carry;
+                mul_carry = cur >> 64;
+                let cur = (cur as u64) as u128 + m * n[j] as u128 + red_carry;
+                red_carry = cur >> 64;
+                out[j - 1] = cur as u64;
             }
-            let cur = t[k] as u128 + carry;
-            t[k - 1] = cur as u64;
-            t[k] = t[k + 1].wrapping_add((cur >> 64) as u64);
-            t[k + 1] = 0;
+            let cur = top as u128 + mul_carry + red_carry;
+            out[k - 1] = cur as u64;
+            top = (cur >> 64) as u64;
         }
-        t.truncate(k + 1);
-        let mut r = Natural::from_limbs(t);
-        if r >= self.n {
-            r -= &self.n;
+        if top != 0 || out.iter().rev().ge(n.iter().rev()) {
+            // The borrow out of the top limb cancels `top`.
+            let mut borrow = false;
+            for (x, &y) in out.iter_mut().zip(n) {
+                let (d, b1) = x.overflowing_sub(y);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                *x = d;
+                borrow = b1 | b2;
+            }
         }
-        r
+    }
+
+    /// `a` in Montgomery form into `out`, staging `a mod n` in `tmp`.
+    fn to_mont_into(&self, out: &mut [u64], a: &Natural, tmp: &mut [u64]) {
+        load(tmp, a.rem(&self.n).limbs());
+        self.mul_into(out, tmp, &self.r2);
+    }
+
+    /// Fills the 16 `k`-limb entries of `window` with `step^0 ..= step^15`
+    /// in Montgomery form: entry 0 is the Montgomery one, and each later
+    /// entry is one product with `step`.
+    fn powers_into(&self, window: &mut [u64], step: &[u64]) {
+        let k = self.k();
+        window[..k].copy_from_slice(&self.r1);
+        for j in 1..16 {
+            let (done, rest) = window.split_at_mut(j * k);
+            self.mul_into(&mut rest[..k], &done[(j - 1) * k..], step);
+        }
+    }
+
+    /// `base^0 ..= base^15` in Montgomery form, entry `j` at limbs
+    /// `j * k .. (j + 1) * k` (one conversion and 15 products).
+    fn window_table(&self, base: &Natural) -> Vec<u64> {
+        let k = self.k();
+        let (mut table, mut base_m) = (vec![0; 16 * k], vec![0; k]);
+        // Entry 1's slot stages `base mod n` until the powers overwrite it.
+        self.to_mont_into(&mut base_m, base, &mut table[k..2 * k]);
+        self.powers_into(&mut table, &base_m);
+        table
     }
 
     /// `base^exp mod n` using a fixed 4-bit window over Montgomery residues.
@@ -195,18 +257,17 @@ impl Montgomery {
             return Natural::one().rem(&self.n);
         }
         let table = self.window_table(base);
+        let mut ladder = Ladder::new(self);
+        let k = self.k();
         // Process exponent in 4-bit windows, most significant first.
-        let mut acc = self.r1.clone();
         for w in (0..exp.bit_len().div_ceil(4)).rev() {
-            for _ in 0..4 {
-                acc = self.mont_mul(&acc, &acc);
-            }
+            ladder.square4();
             let nib = nibble(exp, w);
             if nib != 0 {
-                acc = self.mont_mul(&acc, &table[nib]);
+                ladder.times(&table[nib * k..][..k]);
             }
         }
-        self.from_mont(&acc)
+        ladder.finish()
     }
 
     /// `base^exp mod n` in an operation sequence fixed by the public
@@ -215,26 +276,66 @@ impl Montgomery {
     /// included.  An exponent wider than `width` runs at its own width.
     pub fn modpow_fixed(&self, base: &Natural, exp: &Natural, width: u64) -> Natural {
         let table = self.window_table(base);
-        let mut acc = self.r1.clone();
+        let mut ladder = Ladder::new(self);
+        let k = self.k();
         for w in (0..width.max(exp.bit_len()).div_ceil(4)).rev() {
-            for _ in 0..4 {
-                acc = self.mont_mul(&acc, &acc);
-            }
-            acc = self.mont_mul(&acc, &table[nibble(exp, w)]);
+            ladder.square4();
+            ladder.times(&table[nibble(exp, w) * k..][..k]);
         }
-        self.from_mont(&acc)
+        ladder.finish()
+    }
+}
+
+/// Copies `limbs` into `dst` and zero-fills the rest.
+///
+/// # Panics
+///
+/// Panics if `limbs` is longer than `dst`: a Montgomery operand must be
+/// below `R`.
+fn load(dst: &mut [u64], limbs: &[u64]) {
+    assert!(
+        limbs.len() <= dst.len(),
+        "Montgomery operand is not below R"
+    );
+    dst[..limbs.len()].copy_from_slice(limbs);
+    dst[limbs.len()..].fill(0);
+}
+
+/// The two accumulators of one exponentiation, allocated once: each
+/// product writes `next` from `acc`, then the two swap.
+struct Ladder<'a> {
+    ctx: &'a Montgomery,
+    acc: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl<'a> Ladder<'a> {
+    /// An accumulator holding the Montgomery one.
+    fn new(ctx: &'a Montgomery) -> Self {
+        Ladder {
+            ctx,
+            acc: ctx.r1.clone(),
+            next: vec![0; ctx.k()],
+        }
     }
 
-    /// `base^0 ..= base^15` in Montgomery form.
-    fn window_table(&self, base: &Natural) -> Vec<Natural> {
-        let base_m = self.to_mont(base);
-        let mut table = Vec::with_capacity(16);
-        table.push(self.r1.clone());
-        for i in 1..16 {
-            let prev: &Natural = &table[i - 1];
-            table.push(self.mont_mul(prev, &base_m));
+    /// `acc <- acc^16`: four squarings.
+    fn square4(&mut self) {
+        for _ in 0..4 {
+            self.ctx.mul_into(&mut self.next, &self.acc, &self.acc);
+            std::mem::swap(&mut self.acc, &mut self.next);
         }
-        table
+    }
+
+    /// `acc <- acc * entry`.
+    fn times(&mut self, entry: &[u64]) {
+        self.ctx.mul_into(&mut self.next, &self.acc, entry);
+        std::mem::swap(&mut self.acc, &mut self.next);
+    }
+
+    /// The accumulator out of Montgomery form: one product with 1.
+    fn finish(self) -> Natural {
+        self.ctx.product(&self.acc, &[1])
     }
 }
 
@@ -260,33 +361,27 @@ pub struct FixedBase {
     ctx: Montgomery,
     /// `b mod n`, for exponents wider than the table.
     base: Natural,
-    windows: u64,
     table: Vec<u64>,
 }
 
 impl FixedBase {
     /// Builds the table for `base` under `ctx`.
     pub fn new(ctx: &Montgomery, base: &Natural) -> Self {
-        let k = ctx.limbs;
-        let windows = ctx.n.bit_len().div_ceil(4);
-        let mut table = Vec::with_capacity(windows as usize * 16 * k);
+        let k = ctx.k();
+        let windows = ctx.n.bit_len().div_ceil(4) as usize;
+        let mut table = vec![0; windows * 16 * k];
         // `step` is b^(16^i); the entries of window i are its powers 0..16,
         // and the sixteenth is the next window's step.
-        let mut step = ctx.to_mont(base);
-        for _ in 0..windows {
-            let mut entry = ctx.r1.clone();
-            for _ in 0..16 {
-                let limbs = entry.limbs();
-                table.extend_from_slice(limbs);
-                table.resize(table.len() + k - limbs.len(), 0);
-                entry = ctx.mont_mul(&entry, &step);
-            }
-            step = entry;
+        let (mut step, mut next) = (vec![0; k], vec![0; k]);
+        ctx.to_mont_into(&mut step, base, &mut next);
+        for window in table.chunks_exact_mut(16 * k) {
+            ctx.powers_into(window, &step);
+            ctx.mul_into(&mut next, &window[15 * k..], &step);
+            std::mem::swap(&mut step, &mut next);
         }
         FixedBase {
             ctx: ctx.clone(),
             base: base.rem(&ctx.n),
-            windows,
             table,
         }
     }
@@ -301,18 +396,16 @@ impl FixedBase {
     /// An exponent wider than the table (the modulus width rounded up to
     /// whole nibbles) falls back to [`Montgomery::modpow`].
     pub fn pow(&self, exp: &Natural) -> Natural {
-        if exp.bit_len() > 4 * self.windows {
+        let k = self.ctx.k();
+        let windows = self.table.chunks_exact(16 * k);
+        if exp.bit_len() > 4 * windows.len() as u64 {
             return self.ctx.modpow(&self.base, exp);
         }
-        let k = self.ctx.limbs;
-        let mut acc = self.ctx.r1.clone();
-        for w in 0..self.windows {
-            let at = (w as usize * 16 + nibble(exp, w)) * k;
-            acc = self
-                .ctx
-                .mont_mul_limbs(acc.limbs(), &self.table[at..at + k]);
+        let mut ladder = Ladder::new(&self.ctx);
+        for (w, window) in windows.enumerate() {
+            ladder.times(&window[nibble(exp, w as u64) * k..][..k]);
         }
-        self.ctx.from_mont(&acc)
+        ladder.finish()
     }
 }
 

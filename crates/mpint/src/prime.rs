@@ -9,17 +9,26 @@ use crate::random::{random_below, random_bits};
 use crate::rng::Rng;
 use crate::Natural;
 
-/// Small primes used for trial division before Miller–Rabin.
-fn small_primes() -> &'static [u64] {
+/// The primes below 8192, used for trial division before Miller–Rabin,
+/// in consecutive groups whose product fits a `u64`: each group is its
+/// product and its primes.
+fn small_prime_groups() -> &'static [(u64, Vec<u64>)] {
     use std::sync::OnceLock;
-    static SIEVE: OnceLock<Vec<u64>> = OnceLock::new();
-    SIEVE.get_or_init(|| {
+    static GROUPS: OnceLock<Vec<(u64, Vec<u64>)>> = OnceLock::new();
+    GROUPS.get_or_init(|| {
         const LIMIT: usize = 8192;
         let mut composite = vec![false; LIMIT];
-        let mut primes = Vec::new();
+        let mut groups: Vec<(u64, Vec<u64>)> = Vec::new();
         for i in 2..LIMIT {
             if !composite[i] {
-                primes.push(i as u64);
+                let p = i as u64;
+                match groups.last_mut() {
+                    Some((product, primes)) if product.checked_mul(p).is_some() => {
+                        *product *= p;
+                        primes.push(p);
+                    }
+                    _ => groups.push((p, vec![p])),
+                }
                 let mut j = i * i;
                 while j < LIMIT {
                     composite[j] = true;
@@ -27,19 +36,31 @@ fn small_primes() -> &'static [u64] {
                 }
             }
         }
-        primes
+        groups
     })
 }
 
 /// Returns `true` if `n` is divisible by a small prime strictly below itself.
+///
+/// One pass over `n`'s limbs reduces it modulo a group's product; each
+/// prime of the group then divides that one-limb remainder.
 fn has_small_factor(n: &Natural) -> bool {
-    for &p in small_primes() {
-        let pn = Natural::from(p);
-        if &pn >= n {
-            return false;
-        }
-        if n.rem(&pn).is_zero() {
-            return true;
+    // Only a one-limb `n` can be at or below a small prime.
+    let small = n.to_u64();
+    for (product, primes) in small_prime_groups() {
+        let d = *product as u128;
+        let r = n
+            .limbs()
+            .iter()
+            .rev()
+            .fold(0u128, |r, &limb| ((r << 64) | limb as u128) % d) as u64;
+        for &p in primes {
+            if small.is_some_and(|v| p >= v) {
+                return false;
+            }
+            if r.is_multiple_of(p) {
+                return true;
+            }
         }
     }
     false
@@ -150,6 +171,50 @@ mod tests {
 
     fn n(v: u128) -> Natural {
         Natural::from(v)
+    }
+
+    /// The per-prime screen the grouped one replaces: one `rem` per prime.
+    fn has_small_factor_by_rem(n: &Natural) -> bool {
+        for p in small_prime_groups().iter().flat_map(|(_, ps)| ps) {
+            let pn = Natural::from(*p);
+            if &pn >= n {
+                return false;
+            }
+            if n.rem(&pn).is_zero() {
+                return true;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn small_prime_groups_cover_the_primes_below_8192() {
+        let groups = small_prime_groups();
+        let primes: Vec<u64> = groups.iter().flat_map(|(_, ps)| ps.clone()).collect();
+        assert_eq!(primes.len(), 1028);
+        assert_eq!((primes[0], primes[primes.len() - 1]), (2, 8191));
+        for (product, ps) in groups {
+            assert_eq!(ps.iter().product::<u64>(), *product);
+        }
+    }
+
+    #[test]
+    fn grouped_screen_matches_the_per_prime_rem_loop() {
+        for v in 0..1u64 << 16 {
+            let n = Natural::from(v);
+            assert_eq!(has_small_factor(&n), has_small_factor_by_rem(&n), "n={v}");
+        }
+        let mut r = rng();
+        for limbs in 1..=8u64 {
+            for _ in 0..200 {
+                let bits = 64 * limbs - r.next_u64() % 64;
+                let n = random_bits(&mut r, bits);
+                assert_eq!(has_small_factor(&n), has_small_factor_by_rem(&n), "n={n}");
+                // A product with a small prime is caught whatever its size.
+                let m = &n * &Natural::from(8191u64);
+                assert_eq!(has_small_factor(&m), has_small_factor_by_rem(&m), "m={m}");
+            }
+        }
     }
 
     #[test]

@@ -299,6 +299,96 @@ fn fixed_base_matches_plain_on_random_odd_moduli() {
     );
 }
 
+/// An odd modulus of exactly `limbs` limbs in one of three shapes: random
+/// (shape 0), just below `2^(64 * limbs)` (1), where the product's top
+/// carry and final subtraction fire most, and just above
+/// `2^(64 * limbs - 1)` (2).
+fn odd_modulus(g: &mut Gen, limbs: usize, shape: usize) -> Natural {
+    let bits = 64 * limbs as u64;
+    let small = Natural::from(g.u64_below(1 << 16));
+    let mut m = match shape {
+        0 => {
+            let mut m = Natural::from_limbs(g.vec_of(limbs, |g| g.u64()));
+            m.set_bit(bits - 1, true);
+            m
+        }
+        1 => Natural::one().shl_bits(bits) - Natural::one() - small,
+        _ => Natural::one().shl_bits(bits - 1) + small,
+    };
+    m.set_bit(0, true);
+    m
+}
+
+#[test]
+fn montgomery_product_and_exponentiations_match_plain_at_every_width() {
+    use mpint::random::{random_below, random_bits};
+    use mpint::{FixedBase, Montgomery};
+    cases(
+        2,
+        "montgomery_product_and_exponentiations_match_plain_at_every_width",
+        |g| {
+            for limbs in 1..=16 {
+                for shape in 0..3 {
+                    let m = odd_modulus(g, limbs, shape);
+                    assert_eq!(m.limbs().len(), limbs);
+                    let ctx = Montgomery::new(m.clone());
+                    // The product: mont_mul(a, b) * R = a * b (mod m), reduced.
+                    let r = Natural::one().shl_bits(64 * limbs as u64);
+                    let top = &m - &Natural::one();
+                    let a = random_below(g.rng(), &m);
+                    let b = random_below(g.rng(), &m);
+                    for (a, b) in [(&a, &b), (&top, &top), (&top, &a), (&Natural::zero(), &b)] {
+                        let p = ctx.mont_mul(a, b);
+                        assert!(p < m, "unreduced product, m={m}");
+                        assert_eq!((&p * &r).rem(&m), a.modmul(b, &m), "m={m}");
+                    }
+                    // Exponents: 0, 1, all ones across a fixed-base table's
+                    // width, one wider than the table, and a random one.
+                    let width = m.bit_len();
+                    let table_width = width.div_ceil(4) * 4;
+                    let exps = [
+                        Natural::zero(),
+                        Natural::one(),
+                        Natural::one().shl_bits(table_width) - Natural::one(),
+                        Natural::one().shl_bits(table_width) + random_bits(g.rng(), 64),
+                        random_bits(g.rng(), width),
+                    ];
+                    let bases = [
+                        Natural::zero(),
+                        Natural::one(),
+                        &m + &random_bits(g.rng(), width + 8),
+                        random_below(g.rng(), &m),
+                    ];
+                    for base in &bases {
+                        let table = FixedBase::new(&ctx, base);
+                        for e in &exps {
+                            let want = base.modpow_plain(e, &m);
+                            let at = || format!("m={m} base={base} e={e}");
+                            assert_eq!(ctx.modpow(base, e), want, "ladder, {}", at());
+                            let fixed = ctx.modpow_fixed(base, e, width);
+                            assert_eq!(fixed, want, "fixed, {}", at());
+                            assert_eq!(table.pow(e), want, "fixed base, {}", at());
+                        }
+                    }
+                }
+            }
+        },
+    );
+}
+
+#[test]
+fn gen_prime_output_is_pinned() {
+    // Candidates and Miller–Rabin bases both come from the generator, so
+    // this output moves if the small-prime screen, any Montgomery result
+    // or the order of draws does.
+    let mut rng = mpint::rng::SplitMix64::seed_from_u64(256);
+    let p = mpint::prime::gen_prime(256, &mut rng);
+    assert_eq!(
+        p.to_hex(),
+        "e8576f7ba51f1ae6d42d37d8fd9bed63ffa7e9224e3998069709ae498c63eec7"
+    );
+}
+
 #[test]
 fn prime_generation_sizes_hold() {
     cases(DEFAULT_CASES, "prime_generation_sizes_hold", |g| {
