@@ -1,5 +1,4 @@
-//! Unified observability report for all three protocols over a common
-//! synthetic workload.
+//! Run reports for all three protocols over a common synthetic workload.
 //!
 //! For each protocol (DAS client setting, commutative encryption with ID
 //! references, private matching with Horner evaluation and session-key
@@ -8,19 +7,17 @@
 //! 1. runs the full mediation scenario under structured tracing,
 //! 2. writes the raw span/event trace as JSONL to
 //!    `target/obs/<protocol>.trace.jsonl`,
-//! 3. writes the unified run report (phase timings, per-edge traffic,
-//!    primitive census, §6 interaction pattern, leakage audit) as JSON to
-//!    `target/obs/<protocol>.report.json`,
-//! 4. prints the report as an aligned table.
-//!
-//! The report totals are asserted against the raw transport and metrics
-//! recorders before anything is written, so the emitted numbers are
-//! guaranteed to match the measured ones.
+//! 3. folds the spans into a profile — where the run's phase wall-clock
+//!    comes from — and writes its collapsed stacks to
+//!    `target/obs/<protocol>.collapsed.txt`,
+//! 4. writes the run's report (outcome, link frames, §6 interaction
+//!    pattern, the account, the leakage audit) and the thread count as
+//!    JSON to `target/obs/<protocol>.report.json`,
+//! 5. prints the report as an aligned table, then the profile.
 
 use std::fs;
 use std::path::PathBuf;
 
-use secmed_core::observe::{unified_report, workload_pairs};
 use secmed_core::workload::WorkloadSpec;
 use secmed_core::{
     CommutativeConfig, DasConfig, Engine, PmConfig, ProtocolKind, RunOptions, ScenarioBuilder,
@@ -47,8 +44,13 @@ fn main() {
     fs::create_dir_all(&out_dir).expect("create target/obs");
 
     println!(
-        "Workload: {} ⨝ {} rows, domains {}/{}, {} shared join values.\n",
-        spec.left_rows, spec.right_rows, spec.left_domain, spec.right_domain, spec.shared_values
+        "Workload: {} ⨝ {} rows, domains {}/{}, {} shared join values, {} payload attributes.\n",
+        spec.left_rows,
+        spec.right_rows,
+        spec.left_domain,
+        spec.right_domain,
+        spec.shared_values,
+        spec.payload_attrs
     );
 
     for kind in [
@@ -64,33 +66,8 @@ fn main() {
         let report = Engine::run(&mut sc, &RunOptions::new(kind).threads(threads))
             .expect("protocol run succeeds");
         let records = trace::take_since(mark);
-
-        let unified = unified_report(kind, &report, &records, workload_pairs(&spec));
-
-        // The unified report must agree exactly with the raw recorders.
-        assert_eq!(
-            unified.total_messages(),
-            report.transport.message_count() as u64
-        );
-        assert_eq!(unified.total_bytes(), report.transport.total_bytes() as u64);
-        assert_eq!(
-            unified.total_ops(),
-            report.primitives.iter().map(|(_, c)| c).sum::<u64>()
-        );
         assert_eq!(report.result.len(), w.expected_join_size);
-
-        // Fold the span trace into a self/total-time profile; per-phase
-        // totals must reconcile exactly with the trace-derived phase rows
-        // before the collapsed stacks are written.
         let prof = profile::aggregate(&records);
-        for phase in &unified.phases {
-            assert_eq!(
-                prof.total_of(&phase.name),
-                phase.wall_ns,
-                "profile total for {} disagrees with the span trace",
-                phase.name
-            );
-        }
 
         let key = kind.key();
         let trace_path = out_dir.join(format!("{key}.trace.jsonl"));
@@ -98,7 +75,7 @@ fn main() {
         let collapsed_path = out_dir.join(format!("{key}.collapsed.txt"));
         fs::write(&collapsed_path, prof.collapsed()).expect("write collapsed stacks");
         let json_path = out_dir.join(format!("{key}.report.json"));
-        let mut value = unified.to_json();
+        let mut value = report.to_json();
         // Record how the run was executed alongside what it measured.
         if let Json::Object(fields) = &mut value {
             fields.push(("threads".to_string(), Json::UInt(threads as u64)));
@@ -107,13 +84,8 @@ fn main() {
         json.push('\n');
         fs::write(&json_path, json).expect("write report JSON");
 
-        println!("{}", unified.render_table());
-        let pattern: Vec<String> = unified
-            .interactions
-            .iter()
-            .map(|(p, n)| format!("{p} ×{n}"))
-            .collect();
-        println!("§6 interaction pattern: {}", pattern.join(", "));
+        println!("=== run report: {key} ===");
+        println!("{}", report.render_table());
         println!("{}", prof.render_table());
         println!("trace:   {}", trace_path.display());
         println!("report:  {}", json_path.display());

@@ -5,9 +5,9 @@
 //! * [`ScenarioBuilder`] assembles a [`Scenario`] — certification
 //!   authority, client with credentials, two allow-all datasources, and
 //!   the query — from a generated [`Workload`],
-//! * [`RunOptions`] selects the protocol (with its options), the
-//!   execution policy (thread count for the deterministic fork-join
-//!   pool), and what happens to the structured trace,
+//! * [`RunOptions`] selects the protocol (with its options), the thread
+//!   count of the deterministic fork-join pool, and what happens to the
+//!   structured trace,
 //! * [`Engine::run`] executes the request phase (Listing 1) followed by
 //!   the selected delivery phase and returns the full [`RunReport`].
 //!
@@ -18,7 +18,6 @@
 //! order, so neither ciphertexts nor message ordering depend on
 //! scheduling.
 
-pub use secmed_pool::ExecPolicy;
 use secmed_pool::Pool;
 
 use crate::credential::{CertificationAuthority, Property};
@@ -166,8 +165,9 @@ pub enum TraceSink {
 pub struct RunOptions {
     /// Which delivery-phase protocol to run, with its options.
     pub protocol: ProtocolKind,
-    /// Thread policy for the deterministic fork-join pool.
-    pub exec: ExecPolicy,
+    /// Worker threads of the deterministic fork-join pool (`0` runs
+    /// sequentially, like `1`).
+    pub threads: usize,
     /// Trace handling.
     pub trace: TraceSink,
     /// Bounded-retry policy for every delivery in the run.
@@ -185,7 +185,7 @@ impl RunOptions {
     pub fn new(protocol: ProtocolKind) -> Self {
         RunOptions {
             protocol,
-            exec: ExecPolicy::sequential(),
+            threads: 1,
             trace: TraceSink::Keep,
             delivery: DeliveryPolicy::default(),
             faults: None,
@@ -209,7 +209,7 @@ impl RunOptions {
 
     /// Sets the worker-thread count (1 = sequential).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.exec = ExecPolicy::threads(threads);
+        self.threads = threads;
         self
     }
 
@@ -269,7 +269,7 @@ impl Engine {
             secmed_crypto::metrics::registry_counters(),
         );
         let kind = opts.protocol;
-        let pool = Pool::new(opts.exec);
+        let pool = Pool::with_threads(opts.threads);
         // Timing class: the wall clock is read inside obs — this module
         // never names `Instant`.
         let _run_timer = secmed_obs::metrics::start_timer("engine.run_ns");

@@ -22,15 +22,16 @@
 //!   footnotes,
 //! * [`engine`] — the execution engine: [`ScenarioBuilder`] assembles a
 //!   scenario from a workload, [`RunOptions`] picks the protocol, thread
-//!   policy, and trace sink, and [`Engine::run`] is the single entry
+//!   count, and trace sink, and [`Engine::run`] is the single entry
 //!   point for executing a protocol (deterministically at any thread
 //!   count),
 //! * [`audit`] — empirical regeneration of Table 1: what the mediator and
 //!   client actually observe,
 //! * [`cost`] — the §6 computational analysis as closed-form operation
 //!   counts, checked against the measured counters,
-//! * [`observe`] — the bridge into the unified `secmed_obs` run report
-//!   (phase timings + traffic + primitive census + leakage in one record),
+//! * [`observe`] — how a [`RunReport`] or [`PlanReport`] renders itself,
+//!   as an aligned table or as JSON, from its own fields (outcome, link
+//!   frames, §6 interactions, the account, the Table 1 views),
 //! * [`workload`] — synthetic relation generators standing in for the
 //!   paper's (unavailable) enterprise datasets,
 //! * [`plan`] — typed query plans (leakage budgets, per-node protocol
@@ -52,7 +53,7 @@ pub mod transport;
 pub mod workload;
 
 pub use credential::{CertificationAuthority, Credential, Property};
-pub use engine::{Engine, ExecPolicy, RunOptions, ScenarioBuilder, TraceSink};
+pub use engine::{Engine, RunOptions, ScenarioBuilder, TraceSink};
 pub use party::{Client, DataSource, Mediator};
 pub use plan::{LeakageBudget, NodeInput, Plan, PlanNode, PlanReport, PlanRunOptions};
 pub use policy::{AccessDecision, AccessPolicy, AccessRule};

@@ -1,199 +1,215 @@
-//! Bridge from protocol-level artifacts to the unified observability
-//! report.
+//! How a run's report renders itself: an aligned text table for people
+//! and a JSON object for programs, both built from the report's own
+//! fields and carrying the same figures, each once.
 //!
-//! [`unified_report`] joins the four measurement surfaces of one protocol
-//! run — trace spans (phase wall-clock), the transport log (per-edge
-//! messages and bytes), the primitive census, and the leakage audit — into
-//! one [`secmed_obs::RunReport`].  The totals in the unified report are
-//! *derived from the same recorders the tests assert against*, so report
-//! numbers and test numbers can never drift apart.
+//! A [`RunReport`] renders its outcome, its census total, the frames of
+//! every directed link (counted from the transport log — the one figure
+//! its account lacks), the §6 interaction count of every mediator
+//! partner ([`Transport::interactions_of`](crate::Transport::interactions_of),
+//! in first-use order), its account (`metrics`, verbatim: frame, byte and
+//! retry totals, per-link bytes, fault counts, the census and the result
+//! rows) and both audited views.  A [`PlanReport`] renders its result
+//! rows, its most severe node outcome, one row per node, the per-key
+//! sums of its nodes' sections, and each node's views.
+//!
+//! Phase wall-clock is not part of a report: it comes from the run's
+//! spans, aggregated by `secmed_obs::profile`.
 
-use secmed_obs::report::{EdgeStat, OpStat, PlanNodeStat, RunReport as UnifiedReport};
-use secmed_obs::trace::Record;
+use std::collections::BTreeMap;
 
-use crate::plan::{Plan, PlanReport};
-use crate::protocol::{ProtocolKind, RunOutcome, RunReport};
+use secmed_obs::Json;
+
+use crate::plan::PlanReport;
+use crate::protocol::{RunOutcome, RunReport};
 use crate::transport::PartyId;
-use crate::workload::WorkloadSpec;
 
-/// Builds the unified report for one finished run.
-///
-/// `records` are the trace records of the run (collect them with
-/// `secmed_obs::trace::checkpoint()` before `Engine::run` and
-/// `take_since` after); phase rows keep only spans prefixed with the
-/// protocol key, so records from other instrumented code are harmless.
-pub fn unified_report(
-    kind: ProtocolKind,
-    report: &RunReport,
-    records: &[Record],
-    workload: Vec<(String, u64)>,
-) -> UnifiedReport {
-    let key = kind.key();
-    let phases = UnifiedReport::phases_from_records(records, Some(&format!("{key}.")));
-
-    // Per-edge traffic, in first-use order, straight from the transport log.
-    let mut edges: Vec<EdgeStat> = Vec::new();
-    for e in report.transport.log() {
-        let from = e.from.to_string();
-        let to = e.to.to_string();
-        match edges.iter_mut().find(|x| x.from == from && x.to == to) {
-            Some(x) => {
-                x.messages += 1;
-                x.bytes += e.bytes() as u64;
+impl RunReport {
+    /// The report as an aligned text table.  The result rows and the
+    /// retries are the account's `run.result_rows` and
+    /// `transport.retries`.
+    pub fn render_table(&self) -> String {
+        let mut out = match &self.outcome {
+            RunOutcome::Degraded { details, .. } => {
+                format!("outcome: degraded ({})\n", details.join("; "))
             }
-            None => edges.push(EdgeStat {
-                from,
-                to,
-                messages: 1,
-                bytes: e.bytes() as u64,
-            }),
+            RunOutcome::Aborted { error, .. } => format!("outcome: aborted ({error})\n"),
+            other => format!("outcome: {}\n", other.key()),
+        };
+        out.push_str(&format!("primitive invocations: {}\n", census_total(self)));
+        let (links, partners) = (link_frames(self), interactions(self));
+        push_sections(&mut out, &sections(&links, &partners, &self.metrics));
+        out.push_str("\nleakage audit:\n");
+        for line in views(self) {
+            out.push_str(&format!("  {line}\n"));
         }
+        out
     }
 
-    let ops: Vec<OpStat> = report
-        .primitives
-        .iter()
-        .map(|(op, count)| OpStat {
-            name: op.name().to_string(),
-            count: *count,
-        })
-        .collect();
-
-    // §6 interaction pattern: for every party that talked to the fabric,
-    // the number of maximal send-runs ("the client has to interact twice
-    // with the mediator").
-    let mut partners: Vec<PartyId> = Vec::new();
-    for e in report.transport.log() {
-        for p in [&e.from, &e.to] {
-            if *p != PartyId::Mediator && !partners.contains(p) {
-                partners.push(p.clone());
-            }
-        }
-    }
-    let interactions: Vec<(String, u64)> = partners
-        .iter()
-        .map(|p| (p.to_string(), report.transport.interactions_of(p) as u64))
-        .collect();
-
-    let leakage = vec![
-        format!("mediator: {}", report.mediator_view.describe()),
-        format!("client: {}", report.client_view.describe()),
-    ];
-
-    UnifiedReport {
-        protocol: key.to_string(),
-        workload,
-        phases,
-        edges,
-        ops,
-        interactions,
-        leakage,
-        result_rows: report.result.len() as u64,
-        outcome: report.outcome.key().to_string(),
-        retries: report.outcome.retries(),
-        metrics: report.metrics.clone(),
-        plan: Vec::new(),
+    /// The report as a JSON object (the outcome as its key).
+    pub fn to_json(&self) -> Json {
+        let (links, partners) = (link_frames(self), interactions(self));
+        let mut fields = vec![
+            ("outcome".to_string(), Json::from(self.outcome.key())),
+            (
+                "primitive_invocations".to_string(),
+                Json::UInt(census_total(self)),
+            ),
+        ];
+        fields.extend(json_sections(&sections(&links, &partners, &self.metrics)));
+        fields.push((
+            "leakage".to_string(),
+            Json::arr(views(self).into_iter().map(Json::from)),
+        ));
+        Json::Object(fields)
     }
 }
 
-/// Plan-section rows for a unified report: one [`PlanNodeStat`] per
-/// executed node, carrying the chosen protocol and the
-/// predicted-vs-observed primitive cross-check.
-pub fn plan_stats(exec: &PlanReport) -> Vec<PlanNodeStat> {
-    exec.nodes
-        .iter()
-        .map(|n| PlanNodeStat {
-            label: n.label.clone(),
-            protocol: n.protocol.key().to_string(),
-            predicted_ops: n.predicted.total(),
-            observed_ops: n.observed.total(),
-            divergence_ppm: n.divergence.max_ppm,
-            result_rows: n.report.result.len() as u64,
-        })
+impl PlanReport {
+    /// The plan as an aligned text table: the node rows, then the
+    /// per-key sums of the nodes' sections, then each node's views.
+    pub fn render_table(&self) -> String {
+        let mut out = format!(
+            "result rows: {}\noutcome: {}\nprimitive invocations: {}\n\n",
+            self.result.len(),
+            self.outcome(),
+            self.nodes
+                .iter()
+                .map(|n| census_total(&n.report))
+                .sum::<u64>()
+        );
+        let rows: Vec<[String; 6]> = self
+            .nodes
+            .iter()
+            .map(|n| {
+                [
+                    n.label.clone(),
+                    n.protocol.key().to_string(),
+                    n.predicted.total().to_string(),
+                    n.observed.total().to_string(),
+                    n.divergence.max_ppm.to_string(),
+                    n.report.result.len().to_string(),
+                ]
+            })
+            .collect();
+        push_table(
+            &mut out,
+            &[
+                "plan node",
+                "protocol",
+                "predicted",
+                "observed",
+                "ppm",
+                "rows",
+            ],
+            &rows,
+        );
+        let (links, partners, metrics) = self.summed();
+        push_sections(&mut out, &sections(&links, &partners, &metrics));
+        out.push_str("\nleakage audit:\n");
+        for n in &self.nodes {
+            for line in views(&n.report) {
+                out.push_str(&format!("  {}: {line}\n", n.label));
+            }
+        }
+        out
+    }
+
+    /// The plan as a JSON object; each node carries its own views.
+    pub fn to_json(&self) -> Json {
+        let nodes = self.nodes.iter().map(|n| {
+            Json::obj([
+                ("label", Json::from(n.label.clone())),
+                ("protocol", Json::from(n.protocol.key())),
+                ("predicted_ops", Json::UInt(n.predicted.total())),
+                ("observed_ops", Json::UInt(n.observed.total())),
+                ("divergence_ppm", Json::UInt(n.divergence.max_ppm)),
+                ("result_rows", Json::from(n.report.result.len())),
+                (
+                    "leakage",
+                    Json::arr(views(&n.report).into_iter().map(Json::from)),
+                ),
+            ])
+        });
+        let mut fields = vec![
+            ("result_rows".to_string(), Json::from(self.result.len())),
+            ("outcome".to_string(), Json::from(self.outcome())),
+            (
+                "primitive_invocations".to_string(),
+                Json::UInt(self.nodes.iter().map(|n| census_total(&n.report)).sum()),
+            ),
+            ("nodes".to_string(), Json::arr(nodes)),
+        ];
+        let (links, partners, metrics) = self.summed();
+        fields.extend(json_sections(&sections(&links, &partners, &metrics)));
+        Json::Object(fields)
+    }
+
+    /// The nodes' link frames and interactions summed per key in
+    /// first-use order, and their accounts summed per key, sorted.
+    fn summed(&self) -> (Counts, Counts, Counts) {
+        let (mut links, mut partners) = (Vec::new(), Vec::new());
+        let mut metrics: BTreeMap<&str, u64> = BTreeMap::new();
+        for n in &self.nodes {
+            add_by_key(&mut links, link_frames(&n.report));
+            add_by_key(&mut partners, interactions(&n.report));
+            for (k, v) in &n.report.metrics {
+                *metrics.entry(k).or_insert(0) += v;
+            }
+        }
+        let metrics = metrics
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        (links, partners, metrics)
+    }
+}
+
+/// Named counts, as an account holds them.
+type Counts = Vec<(String, u64)>;
+
+/// Primitive invocations across the whole census.
+fn census_total(report: &RunReport) -> u64 {
+    report.primitives.iter().map(|(_, n)| n).sum()
+}
+
+/// Frames per directed link (`from->to`, as the account names links),
+/// in first-use order.
+fn link_frames(report: &RunReport) -> Counts {
+    let mut out = Vec::new();
+    for e in report.transport.log() {
+        add_by_key(&mut out, [(format!("{}->{}", e.from, e.to), 1)]);
+    }
+    out
+}
+
+/// The §6 interaction pattern: for every party that talked to the
+/// mediator, in first-use order, its maximal send-runs ("the client has
+/// to interact twice with the mediator").
+fn interactions(report: &RunReport) -> Counts {
+    let mut partners: Vec<&PartyId> = Vec::new();
+    for e in report.transport.log() {
+        for p in [&e.from, &e.to] {
+            if *p != PartyId::Mediator && !partners.contains(&p) {
+                partners.push(p);
+            }
+        }
+    }
+    partners
+        .into_iter()
+        .map(|p| (p.to_string(), report.transport.interactions_of(p) as u64))
         .collect()
 }
 
-/// Builds the unified report for one executed plan.
-///
-/// Traffic, primitive, interaction, and metric sections sum every node's
-/// own [`unified_report`] (per edge / primitive / partner / metric key, in
-/// first-use order), the outcome is the most severe node's, the leakage
-/// section carries each node's audited views prefixed with its label,
-/// and the `plan` section records the per-node protocol choice and
-/// divergence cross-check.  Every number is drawn from the nodes' own
-/// recorders, so the report is byte-identical across reruns and thread
-/// counts.
-pub fn unified_plan_report(plan: &Plan, exec: &PlanReport) -> UnifiedReport {
-    let mut sum = UnifiedReport {
-        protocol: "plan".to_string(),
-        workload: vec![
-            ("tables".to_string(), plan.tables.len() as u64),
-            ("nodes".to_string(), plan.nodes.len() as u64),
-        ],
-        phases: Vec::new(),
-        edges: Vec::new(),
-        ops: Vec::new(),
-        interactions: Vec::new(),
-        leakage: Vec::new(),
-        result_rows: exec.result.len() as u64,
-        outcome: exec
-            .nodes
-            .iter()
-            .map(|n| &n.report.outcome)
-            .max_by_key(|o| severity(o))
-            .map_or("clean", RunOutcome::key)
-            .to_string(),
-        retries: 0,
-        metrics: Vec::new(),
-        plan: plan_stats(exec),
-    };
-    for n in &exec.nodes {
-        let node = unified_report(n.protocol, &n.report, &[], Vec::new());
-        for e in node.edges {
-            match sum
-                .edges
-                .iter_mut()
-                .find(|x| x.from == e.from && x.to == e.to)
-            {
-                Some(x) => {
-                    x.messages += e.messages;
-                    x.bytes += e.bytes;
-                }
-                None => sum.edges.push(e),
-            }
-        }
-        for o in node.ops {
-            match sum.ops.iter_mut().find(|x| x.name == o.name) {
-                Some(x) => x.count += o.count,
-                None => sum.ops.push(o),
-            }
-        }
-        add_by_key(&mut sum.interactions, node.interactions);
-        add_by_key(&mut sum.metrics, node.metrics);
-        sum.leakage.extend(
-            node.leakage
-                .iter()
-                .map(|line| format!("{}: {line}", n.label)),
-        );
-        sum.retries += node.retries;
-    }
-    sum.metrics.sort();
-    sum
+/// The Table 1 views: the mediator's, then the client's.
+fn views(report: &RunReport) -> [String; 2] {
+    [
+        format!("mediator: {}", report.mediator_view.describe()),
+        format!("client: {}", report.client_view.describe()),
+    ]
 }
 
-/// How bad a node outcome is: a plan reports its worst node's, ranked
-/// aborted > degraded > recovered > clean.
-fn severity(outcome: &RunOutcome) -> u8 {
-    match outcome {
-        RunOutcome::Clean => 0,
-        RunOutcome::RecoveredWithRetries { .. } => 1,
-        RunOutcome::Degraded { .. } => 2,
-        RunOutcome::Aborted { .. } => 3,
-    }
-}
-
-/// Adds `rows` into `acc` by key, appending keys in first-use order.
-fn add_by_key(acc: &mut Vec<(String, u64)>, rows: Vec<(String, u64)>) {
+/// Adds `rows` into `acc` by key, appending new keys in first-use order.
+fn add_by_key(acc: &mut Counts, rows: impl IntoIterator<Item = (String, u64)>) {
     for (k, v) in rows {
         match acc.iter_mut().find(|(ak, _)| *ak == k) {
             Some((_, av)) => *av += v,
@@ -202,14 +218,106 @@ fn add_by_key(acc: &mut Vec<(String, u64)>, rows: Vec<(String, u64)>) {
     }
 }
 
-/// The workload key/value pairs a report carries, derived from a spec.
-pub fn workload_pairs(spec: &WorkloadSpec) -> Vec<(String, u64)> {
-    vec![
-        ("left_rows".to_string(), spec.left_rows as u64),
-        ("right_rows".to_string(), spec.right_rows as u64),
-        ("left_domain".to_string(), spec.left_domain as u64),
-        ("right_domain".to_string(), spec.right_domain as u64),
-        ("shared_values".to_string(), spec.shared_values as u64),
-        ("payload_attrs".to_string(), spec.payload_attrs as u64),
+/// One count section: its JSON key, its table header and its rows.
+type Section<'a> = (&'static str, [&'static str; 2], &'a [(String, u64)]);
+
+/// The count sections both reports render, in order.
+fn sections<'a>(
+    links: &'a [(String, u64)],
+    partners: &'a [(String, u64)],
+    metrics: &'a [(String, u64)],
+) -> [Section<'a>; 3] {
+    [
+        ("link_frames", ["link", "frames"], links),
+        (
+            "interactions",
+            ["mediator partner", "interactions"],
+            partners,
+        ),
+        ("metrics", ["metric", "value"], metrics),
     ]
+}
+
+fn push_sections(out: &mut String, sections: &[Section<'_>]) {
+    for (_, header, rows) in sections {
+        if rows.is_empty() {
+            continue;
+        }
+        out.push('\n');
+        let rows: Vec<[String; 2]> = rows
+            .iter()
+            .map(|(k, v)| [k.clone(), v.to_string()])
+            .collect();
+        push_table(out, header, &rows);
+    }
+}
+
+fn json_sections(sections: &[Section<'_>]) -> Vec<(String, Json)> {
+    sections
+        .iter()
+        .map(|(key, _, rows)| {
+            let counts = rows.iter().map(|(k, v)| (k.clone(), Json::UInt(*v)));
+            (key.to_string(), Json::Object(counts.collect()))
+        })
+        .collect()
+}
+
+/// Appends an aligned table: left-aligned first column, right-aligned rest.
+fn push_table<const N: usize>(out: &mut String, header: &[&str; N], rows: &[[String; N]]) {
+    let mut widths: [usize; N] = [0; N];
+    for (i, h) in header.iter().enumerate() {
+        widths[i] = h.chars().count();
+    }
+    for row in rows {
+        for (i, cell) in row.iter().enumerate() {
+            widths[i] = widths[i].max(cell.chars().count());
+        }
+    }
+    let emit = |out: &mut String, cells: &[String; N]| {
+        for (i, cell) in cells.iter().enumerate() {
+            if i > 0 {
+                out.push_str("  ");
+            }
+            let pad = " ".repeat(widths[i].saturating_sub(cell.chars().count()));
+            if i == 0 {
+                out.push_str(cell);
+                out.push_str(&pad);
+            } else {
+                out.push_str(&pad);
+                out.push_str(cell);
+            }
+        }
+        // Trim trailing padding on the last column.
+        while out.ends_with(' ') {
+            out.pop();
+        }
+        out.push('\n');
+    };
+    emit(out, &header.map(str::to_string));
+    emit(out, &widths.map(|w| "-".repeat(w)));
+    for row in rows {
+        emit(out, row);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::push_table;
+
+    #[test]
+    fn tables_align_the_first_column_left_and_the_rest_right() {
+        let mut out = String::new();
+        let rows = [
+            ["client->mediator".to_string(), "2".to_string()],
+            ["a".to_string(), "12".to_string()],
+        ];
+        push_table(&mut out, &["link", "frames"], &rows);
+        let want = [
+            "link              frames",
+            "----------------  ------",
+            "client->mediator       2",
+            "a                     12",
+        ];
+        assert_eq!(out.lines().collect::<Vec<_>>(), want);
+    }
 }

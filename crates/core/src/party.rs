@@ -7,7 +7,6 @@
 
 use std::collections::BTreeMap;
 
-use mpint::rng::Rng;
 use relalg::{Relation, Schema};
 use secmed_crypto::drbg::HmacDrbg;
 use secmed_crypto::hybrid::HybridKeyPair;
@@ -199,11 +198,6 @@ impl Mediator {
     pub fn rng(&mut self) -> &mut HmacDrbg {
         &mut self.rng
     }
-}
-
-/// Convenience: a fresh DRBG for auxiliary parties in tests/benches.
-pub fn seeded_rng(label: &str) -> impl Rng {
-    HmacDrbg::from_label(label)
 }
 
 #[cfg(test)]

@@ -20,10 +20,10 @@ use relalg::Relation;
 
 use crate::cost::{divergence, predict, shape_of_join, Divergence, PredictedOps};
 use crate::credential::CertificationAuthority;
-use crate::engine::{Engine, ExecPolicy, RunOptions, TraceSink};
+use crate::engine::{Engine, RunOptions, TraceSink};
 use crate::party::{Client, DataSource, Mediator};
 use crate::policy::AccessPolicy;
-use crate::protocol::{apply_residual, ProtocolKind, RunReport, Scenario};
+use crate::protocol::{apply_residual, ProtocolKind, RunOutcome, RunReport, Scenario};
 use crate::transport::{DeliveryPolicy, FaultPlan};
 use crate::MedError;
 
@@ -213,11 +213,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Index of the root node.
-    pub fn root(&self) -> usize {
-        self.nodes.len() - 1
-    }
-
     /// Human-readable rendering: one line per node.
     pub fn describe(&self) -> String {
         let mut out = String::new();
@@ -250,8 +245,9 @@ impl Plan {
 /// the protocol, which the plan chooses per node).
 #[derive(Debug, Clone)]
 pub struct PlanRunOptions {
-    /// Thread policy for the deterministic fork-join pool.
-    pub exec: ExecPolicy,
+    /// Worker threads of the deterministic fork-join pool (`0` runs
+    /// sequentially, like `1`).
+    pub threads: usize,
     /// Trace handling for every node run.
     pub trace: TraceSink,
     /// Bounded-retry policy.
@@ -263,7 +259,7 @@ pub struct PlanRunOptions {
 impl Default for PlanRunOptions {
     fn default() -> Self {
         PlanRunOptions {
-            exec: ExecPolicy::sequential(),
+            threads: 1,
             trace: TraceSink::Keep,
             delivery: DeliveryPolicy::default(),
             faults: None,
@@ -274,7 +270,7 @@ impl Default for PlanRunOptions {
 impl PlanRunOptions {
     /// Sets the worker-thread count (1 = sequential).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.exec = ExecPolicy::threads(threads);
+        self.threads = threads;
         self
     }
 
@@ -288,7 +284,7 @@ impl PlanRunOptions {
     fn node_options(&self, protocol: ProtocolKind) -> RunOptions {
         RunOptions {
             protocol,
-            exec: self.exec,
+            threads: self.threads,
             trace: self.trace,
             delivery: self.delivery,
             faults: self.faults.clone(),
@@ -322,6 +318,33 @@ pub struct PlanReport {
     pub result: Relation,
     /// Per-node reports, in plan (execution) order.
     pub nodes: Vec<NodeReport>,
+}
+
+impl PlanReport {
+    /// The plan's outcome key: its most severe node's, ranked aborted >
+    /// degraded > recovered > clean (`clean` for a plan without nodes).
+    pub fn outcome(&self) -> &'static str {
+        self.nodes
+            .iter()
+            .map(|n| &n.report.outcome)
+            .max_by_key(|o| severity(o))
+            .map_or("clean", RunOutcome::key)
+    }
+
+    /// Retransmissions across every node, as their outcomes count them.
+    pub fn retries(&self) -> u64 {
+        self.nodes.iter().map(|n| n.report.outcome.retries()).sum()
+    }
+}
+
+/// How bad a node outcome is, for [`PlanReport::outcome`].
+fn severity(outcome: &RunOutcome) -> u8 {
+    match outcome {
+        RunOutcome::Clean => 0,
+        RunOutcome::RecoveredWithRetries { .. } => 1,
+        RunOutcome::Degraded { .. } => 2,
+        RunOutcome::Aborted { .. } => 3,
+    }
 }
 
 impl Engine {

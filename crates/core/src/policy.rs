@@ -76,11 +76,6 @@ impl AccessPolicy {
         AccessPolicy { rules }
     }
 
-    /// Adds a rule.
-    pub fn add_rule(&mut self, rule: AccessRule) {
-        self.rules.push(rule);
-    }
-
     /// Every property any rule may require — advertised to the mediator so
     /// it can select the credential subsets `CR_i` (Listing 1, step 2).
     /// This is policy *metadata*, not data.

@@ -1,17 +1,16 @@
-//! The unified observability report must agree *exactly* with the raw
-//! recorders it is derived from: transport counters, the primitive census,
-//! and — transitively — the §6 closed-form cost model.  If the report
-//! aggregation ever drops or double-counts an edge, op, or phase, these
-//! checks fail — also while `Discard` runs execute on other threads.
+//! A run's report must agree *exactly* with the raw recorders it is
+//! derived from: the transport log, the primitive census, and — through
+//! the census — the §6 closed-form cost model; its rendering must list
+//! every figure once, and the run's spans must hold its phases.  These
+//! checks hold also while `Discard` runs execute on other threads.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use secmed_core::cost::{divergence, observed, predict, shape_of};
-use secmed_core::observe::{unified_report, workload_pairs};
 use secmed_core::workload::WorkloadSpec;
 use secmed_core::{Engine, ProtocolKind, RunOptions, ScenarioBuilder, TraceSink};
-use secmed_obs::trace;
+use secmed_obs::{profile, trace, Json};
 
 fn spec(seed: &str) -> WorkloadSpec {
     WorkloadSpec {
@@ -65,8 +64,7 @@ fn amid_discard_runs<T>(kind: ProtocolKind, keep: impl FnOnce() -> T) -> T {
 }
 
 fn check(kind: ProtocolKind, seed: &str) {
-    let s = spec(seed);
-    let w = s.generate();
+    let w = spec(seed).generate();
     let mut sc = ScenarioBuilder::new(&w)
         .seed(seed)
         .paillier_bits(512)
@@ -76,25 +74,18 @@ fn check(kind: ProtocolKind, seed: &str) {
         let report = Engine::run(&mut sc, &RunOptions::new(kind)).unwrap();
         (report, trace::take_since(mark))
     });
-    let unified = unified_report(kind, &report, &records, workload_pairs(&s));
     let key = kind.key();
+    let json = report.to_json();
+    let section = |name: &str| -> Vec<(String, u64)> {
+        json.get(name)
+            .and_then(Json::as_object)
+            .unwrap_or_else(|| panic!("{key}: no {name} section"))
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_u64().expect("a count")))
+            .collect()
+    };
 
-    // Report totals equal the transport counters, edge by edge.
-    assert_eq!(
-        unified.total_messages(),
-        report.transport.message_count() as u64,
-        "{key}: message total drifted from the transport log"
-    );
-    assert_eq!(
-        unified.total_bytes(),
-        report.transport.total_bytes() as u64,
-        "{key}: byte total drifted from the transport log"
-    );
-
-    // Report ops equal the primitive census, and the census equals the
-    // closed-form prediction — so the report inherits the model guarantee.
-    let census_total: u64 = report.primitives.iter().map(|(_, c)| c).sum();
-    assert_eq!(unified.total_ops(), census_total, "{key}: op total drifted");
+    // The census equals the closed-form prediction.
     let shape = shape_of(
         &w.left,
         &w.right,
@@ -110,26 +101,21 @@ fn check(kind: ProtocolKind, seed: &str) {
         gap.mismatched
     );
 
-    // Every protocol run produces the canonical phase rows.
-    let phase_names: Vec<&str> = unified.phases.iter().map(|p| p.name.as_str()).collect();
-    for expected in [
+    // The run's spans hold the canonical phases.
+    let prof = profile::aggregate(&records);
+    let spans: Vec<String> = prof.flatten().iter().map(|(_, n)| n.name.clone()).collect();
+    let phases = [
         format!("{key}.request"),
         format!("{key}.encryption"),
         format!("{key}.transfer"),
         format!("{key}.post"),
-    ] {
-        assert!(
-            phase_names.contains(&expected.as_str()),
-            "{key}: missing phase {expected} in {phase_names:?}"
-        );
+    ];
+    for phase in &phases {
+        assert!(spans.contains(phase), "{key}: missing phase {phase}");
     }
 
-    // The result row count in the report is the actual join size.
-    assert_eq!(unified.result_rows, w.expected_join_size as u64);
-
-    // Deterministic run metrics reconcile with the recorders they mirror:
-    // fabric totals, per-link bytes, the Table 2 census, and the result
-    // cardinality — and the unified report carries them verbatim.
+    // The account reconciles with the recorders it counts: fabric totals,
+    // per-link bytes, the Table 2 census, and the result cardinality.
     let metric = |name: &str| {
         report
             .metrics
@@ -148,30 +134,30 @@ fn check(kind: ProtocolKind, seed: &str) {
         "{key}: byte metric drifted from the transport log"
     );
     assert_eq!(metric("transport.retries"), Some(0), "{key}: fault-free");
-    // One byte count per directed link the log holds, each the sum of that
-    // link's envelopes, together every byte of the log.
+    // One frame and one byte count per directed link the log holds, each
+    // that link's envelopes, together every frame and byte of the log.
+    let link_frames = section("link_frames");
     let links: Vec<u64> = report
         .metrics
         .iter()
         .filter(|(k, _)| k.starts_with("transport.link."))
         .map(|(_, v)| *v)
         .collect();
-    assert_eq!(
-        links.len(),
-        unified.edges.len(),
-        "{key}: one count per link"
-    );
+    assert_eq!(links.len(), link_frames.len(), "{key}: one count per link");
     for e in report.transport.log() {
-        let expected: u64 = report
-            .transport
-            .link(&e.from, &e.to)
-            .iter()
-            .map(|x| x.bytes() as u64)
-            .sum();
+        let link = report.transport.link(&e.from, &e.to);
+        let bytes: u64 = link.iter().map(|x| x.bytes() as u64).sum();
         assert_eq!(
             metric(&format!("transport.link.{}->{}.bytes", e.from, e.to)),
-            Some(expected),
+            Some(bytes),
             "{key}: link bytes drifted for {} -> {}",
+            e.from,
+            e.to
+        );
+        let name = format!("{}->{}", e.from, e.to);
+        assert!(
+            link_frames.contains(&(name, link.len() as u64)),
+            "{key}: link frames drifted for {} -> {}",
             e.from,
             e.to
         );
@@ -180,6 +166,11 @@ fn check(kind: ProtocolKind, seed: &str) {
         links.iter().sum::<u64>(),
         report.transport.total_bytes() as u64,
         "{key}: link bytes must partition the log"
+    );
+    assert_eq!(
+        link_frames.iter().map(|(_, n)| n).sum::<u64>(),
+        report.transport.message_count() as u64,
+        "{key}: link frames must partition the log"
     );
     for (op, count) in &report.primitives {
         assert_eq!(
@@ -194,27 +185,16 @@ fn check(kind: ProtocolKind, seed: &str) {
     sorted.sort();
     assert_eq!(report.metrics, sorted, "{key}: metrics must be sorted");
     assert_eq!(
-        unified.metrics, report.metrics,
-        "{key}: unified report must carry the run metrics verbatim"
+        section("metrics"),
+        report.metrics,
+        "{key}: the report must render its account verbatim"
     );
-
-    // The span-profile aggregation reproduces the per-phase totals that
-    // were computed straight from the raw records.
-    let prof = secmed_obs::profile::aggregate(&records);
-    for phase in &unified.phases {
-        assert_eq!(
-            prof.total_of(&phase.name),
-            phase.wall_ns,
-            "{key}: profile total for {} disagrees with the trace",
-            phase.name
-        );
-    }
 
     // §6 interaction pattern: DAS needs two client interactions with the
     // mediator; the encryption-key protocols need two per source.
+    let interactions = section("interactions");
     let of = |party: &str| {
-        unified
-            .interactions
+        interactions
             .iter()
             .find(|(p, _)| p == party)
             .map(|(_, n)| *n)
@@ -232,12 +212,28 @@ fn check(kind: ProtocolKind, seed: &str) {
             assert_eq!(of("source:r2"), 2, "{key}: sources must interact twice");
         }
     }
+
+    // What a reader sees — the report table, then the profile — lists
+    // every census op and every phase exactly once.
+    let printed = format!("{}{}", report.render_table(), prof.render_table());
+    let listed = |name: &str| {
+        printed
+            .split_whitespace()
+            .filter(|w| w.strip_prefix("crypto.").unwrap_or(w) == name)
+            .count()
+    };
+    for (op, _) in &report.primitives {
+        assert_eq!(listed(op.name()), 1, "{key}: {} in\n{printed}", op.name());
+    }
+    for phase in &phases {
+        assert_eq!(listed(phase), 1, "{key}: {phase} in\n{printed}");
+    }
 }
 
 // One test function: kept traces share the global buffer, so runs that
 // keep theirs must not interleave with each other.
 #[test]
-fn unified_report_matches_recorders_for_every_protocol() {
+fn run_reports_match_recorders_for_every_protocol() {
     check(ProtocolKind::Das(Default::default()), "obs-das");
     check(ProtocolKind::Commutative(Default::default()), "obs-comm");
     check(ProtocolKind::Pm(Default::default()), "obs-pm");

@@ -11,7 +11,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use relalg::{Relation, Schema, Type, Value};
-use secmed_core::observe::unified_plan_report;
 use secmed_core::plan::{LeakageBudget, Plan, PlanReport, PlanRunOptions, SourceSpec};
 use secmed_core::{
     AccessPolicy, CertificationAuthority, Client, CommutativeConfig, DasConfig, Engine, MedError,
@@ -19,6 +18,7 @@ use secmed_core::{
 };
 use secmed_crypto::drbg::HmacDrbg;
 use secmed_crypto::group::{GroupSize, SafePrimeGroup};
+use secmed_obs::Json;
 use secmed_plan::{stats_of, PlanError, Planner};
 use secmed_testkit::federation::{self, Federation, FederationSpec};
 use secmed_testkit::Gen;
@@ -83,7 +83,14 @@ fn assert_same_rows(got: &Relation, want: &Relation, context: &str) {
 
 /// A plan report's metrics are the per-key sums of its nodes' accounts,
 /// which hold counts only: no frame-size percentile may appear.
-fn assert_metrics_add_up(metrics: &[(String, u64)], exec: &PlanReport, context: &str) {
+fn assert_metrics_add_up(rendered: &Json, exec: &PlanReport, context: &str) {
+    let metrics: Vec<(String, u64)> = rendered
+        .get("metrics")
+        .and_then(Json::as_object)
+        .expect("a metrics section")
+        .iter()
+        .map(|(k, v)| (k.clone(), v.as_u64().expect("a count")))
+        .collect();
     let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
     for n in &exec.nodes {
         for (k, v) in &n.report.metrics {
@@ -139,13 +146,13 @@ fn three_way_plan_and_report_are_identical_across_thread_counts() {
                 n.divergence.mismatched
             );
         }
-        // The whole unified report — traffic, census, leakage, and the
-        // plan section — must not depend on the thread count.
-        fingerprints.push(unified_plan_report(&plan, &exec).to_json().render());
+        // The whole plan report — node rows, traffic, the summed account
+        // and every node's views — must not depend on the thread count.
+        fingerprints.push(exec.to_json().render());
     }
     assert_eq!(fingerprints[0], fingerprints[1], "1 vs 2 threads");
     assert_eq!(fingerprints[0], fingerprints[2], "1 vs 8 threads");
-    assert!(fingerprints[0].contains(r#""protocol":"plan""#));
+    assert!(fingerprints[0].contains(r#""outcome":"clean""#));
     assert!(fingerprints[0].contains(r#""divergence_ppm":0"#));
 }
 
@@ -162,7 +169,7 @@ fn a_plan_reports_its_most_severe_node_outcome() {
         .unwrap();
     let mut exec = run(&fed, &plan, &PlanRunOptions::default());
     assert_eq!(exec.nodes.len(), 2);
-    assert_eq!(unified_plan_report(&plan, &exec).outcome, "clean");
+    assert_eq!(exec.outcome(), "clean");
     // The outcomes are set by hand: the fold, not a fault schedule, is
     // under test.  A later, more severe node decides the plan's outcome,
     // and an earlier, more severe one is not overridden.
@@ -176,15 +183,14 @@ fn a_plan_reports_its_most_severe_node_outcome() {
     for (first, second) in [("recovered", "degraded"), ("degraded", "recovered")] {
         exec.nodes[0].report.outcome = outcome(first);
         exec.nodes[1].report.outcome = outcome(second);
-        let unified = unified_plan_report(&plan, &exec);
-        assert_eq!(unified.outcome, "degraded", "{first} then {second}");
-        assert_eq!(unified.retries, 3);
+        assert_eq!(exec.outcome(), "degraded", "{first} then {second}");
+        assert_eq!(exec.retries(), 3);
     }
     exec.nodes[1].report.outcome = RunOutcome::Aborted {
         error: MedError::Protocol("stopped".to_string()),
         retries: 0,
     };
-    assert_eq!(unified_plan_report(&plan, &exec).outcome, "aborted");
+    assert_eq!(exec.outcome(), "aborted");
 }
 
 #[test]
@@ -275,11 +281,15 @@ fn every_protocol_assignment_executes_and_matches_the_reference() {
                     n.divergence.mismatched
                 );
             }
-            let unified = unified_plan_report(&plan, &exec);
-            assert_metrics_add_up(&unified.metrics, &exec, &context);
-            assert_eq!(unified.plan.len(), plan.nodes.len());
-            assert_eq!(unified.result_rows, want.len() as u64);
-            assert!(unified.plan.iter().all(|n| n.protocol == kind.key()));
+            let rendered = exec.to_json();
+            assert_metrics_add_up(&rendered, &exec, &context);
+            let nodes = rendered.get("nodes").and_then(Json::as_array).unwrap();
+            assert_eq!(nodes.len(), plan.nodes.len());
+            assert!(nodes
+                .iter()
+                .all(|n| n.get("protocol").and_then(Json::as_str) == Some(kind.key())));
+            let rows = rendered.get("result_rows").and_then(Json::as_u64);
+            assert_eq!(rows, Some(want.len() as u64));
         }
     }
 }

@@ -364,11 +364,6 @@ impl EncryptedBucketedPoly {
         self.buckets.len()
     }
 
-    /// Total transported ciphertexts.
-    pub fn total_len(&self) -> usize {
-        self.buckets.iter().map(EncryptedPoly::len).sum()
-    }
-
     /// The per-bucket encrypted polynomials (for transport).
     pub fn buckets(&self) -> &[EncryptedPoly] {
         &self.buckets

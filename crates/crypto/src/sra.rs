@@ -68,11 +68,6 @@ impl SraDomain {
     pub fn hash(&self, data: &[u8]) -> Natural {
         self.group.hash_to_group(data)
     }
-
-    /// Serialized size of one group element in bytes.
-    pub fn element_bytes(&self) -> usize {
-        (self.group.bits() as usize).div_ceil(8)
-    }
 }
 
 impl SraCipher {

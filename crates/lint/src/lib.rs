@@ -56,14 +56,10 @@ pub use source::SourceFile;
 /// The committed baseline file name, resolved against the workspace root.
 pub const BASELINE_FILE: &str = "lint-baseline.json";
 
-/// Runs the default rule set over the workspace rooted at `root` on one
-/// thread.  The outcome is raw — baseline ratcheting is [`gate_workspace`].
-pub fn lint_workspace(root: &Path) -> io::Result<RunOutcome> {
-    lint_workspace_with(root, 1)
-}
-
-/// [`lint_workspace`] with an explicit per-file thread count (`0` ⇒ pool
-/// default).  Output is identical at any thread count.
+/// Runs the default rule set over the workspace rooted at `root` with
+/// an explicit per-file thread count (`0` ⇒ pool default).  Output is
+/// identical at any thread count; the outcome is raw — baseline
+/// ratcheting is [`gate_workspace`].
 pub fn lint_workspace_with(root: &Path, threads: usize) -> io::Result<RunOutcome> {
     let sources = walk::collect(root)?;
     Ok(engine::run_with(&rules::default_rules(), &sources, threads))

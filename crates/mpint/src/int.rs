@@ -64,11 +64,6 @@ impl Int {
         self.mag.is_zero()
     }
 
-    /// Is this strictly negative?
-    pub fn is_negative(&self) -> bool {
-        self.sign == Sign::Minus
-    }
-
     /// Canonical representative in `[0, modulus)`.
     ///
     /// # Panics

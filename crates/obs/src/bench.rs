@@ -16,7 +16,6 @@
 
 use std::time::{Duration, Instant};
 
-use crate::report::format_ns;
 use crate::trajectory::Summary;
 
 /// Re-export of the compiler optimization barrier used by benches.
@@ -132,6 +131,19 @@ impl BenchResult {
     }
 }
 
+/// Formats nanoseconds with an adaptive unit.
+fn format_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.3} s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.3} ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.3} µs", ns as f64 / 1e3)
+    } else {
+        format!("{ns} ns")
+    }
+}
+
 /// The first non-flag command-line argument, used by bench binaries as a
 /// substring name filter — mirroring `cargo bench -- <filter>`.  Flags
 /// such as the `--bench` marker cargo passes to `harness = false` targets
@@ -229,6 +241,14 @@ impl Suite {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn format_ns_units() {
+        assert_eq!(format_ns(12), "12 ns");
+        assert_eq!(format_ns(12_340), "12.340 µs");
+        assert_eq!(format_ns(12_340_000), "12.340 ms");
+        assert_eq!(format_ns(2_500_000_000), "2.500 s");
+    }
 
     #[test]
     fn run_produces_requested_samples_and_positive_times() {

@@ -9,17 +9,15 @@
 //!   process-global, thread-safe buffer, exported as JSON-lines,
 //! * [`run`] — the run scope: one run's census slots and trace switch,
 //!   inherited by its pool workers and published once when it closes,
-//! * [`report`] — the unified [`report::RunReport`] joining phase timings,
-//!   transport traffic, the primitive census, and the leakage audit of one
-//!   protocol run, rendered as JSON or an aligned table,
 //! * [`bench`] — a micro-benchmark harness (warmup, batch calibration,
 //!   mean/median/stddev) used by every bench binary,
 //! * [`metrics`] — the process-global metrics registry: counters and log₂
 //!   histograms, split into a *deterministic* class (seed-pure, each
 //!   finished run's account published once) and a *timing* class
 //!   (wall-clock, exported separately),
-//! * [`profile`] — span-profile aggregation: folds a trace into a
-//!   self/total-time tree with collapsed-stack (flamegraph) output,
+//! * [`profile`] — span-profile aggregation, the one place a run's phase
+//!   wall-clock comes from: folds a trace into a self/total-time tree
+//!   with collapsed-stack (flamegraph) output,
 //! * [`trajectory`] — the `BENCH_*.json` performance-trajectory schema,
 //!   writer, validator, and the baseline compare behind
 //!   `scripts/bench_check.sh`,
@@ -30,7 +28,6 @@ pub mod bench;
 pub mod json;
 pub mod metrics;
 pub mod profile;
-pub mod report;
 pub mod run;
 pub mod trace;
 pub mod trajectory;
@@ -38,6 +35,5 @@ pub mod trajectory;
 pub use json::Json;
 pub use metrics::{Class, Counter, Hist, Histogram, MetricsSnapshot};
 pub use profile::{Profile, ProfileNode};
-pub use report::{EdgeStat, OpStat, PhaseStat, RunReport};
 pub use trace::{event, event_with, span, SpanGuard};
 pub use trajectory::TrajectoryFile;

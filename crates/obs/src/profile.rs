@@ -6,8 +6,7 @@
 //! (root → span) identifies a tree node, and all spans sharing a path
 //! merge into one node (call count + total time).  Self time is a node's
 //! total minus its children's totals, so summing `self_ns` over any
-//! subtree reproduces the subtree root's `total_ns` — the invariant
-//! `trace_report` asserts against the raw span trace.
+//! subtree reproduces the subtree root's `total_ns`.
 
 use std::collections::BTreeMap;
 

@@ -10,7 +10,6 @@
 //!   "schema_version": 1,
 //!   "suite": "core",
 //!   "emitter": "report",
-//!   "git_rev": "abc1234",
 //!   "threads": 1,
 //!   "benches": [
 //!     {"name": "das/rows64", "unit": "ns",
@@ -126,8 +125,6 @@ pub struct TrajectoryFile {
     pub suite: String,
     /// The binary that produced the file, e.g. `"report"`.
     pub emitter: String,
-    /// Git revision the measurements were taken at.
-    pub git_rev: String,
     /// Worker thread count the suite ran with.
     pub threads: u64,
     /// The measurement series.
@@ -138,33 +135,12 @@ pub struct TrajectoryFile {
     pub timing: MetricsSnapshot,
 }
 
-/// The git revision to stamp into trajectory files: `BENCH_GIT_REV` if
-/// set (CI pins it), else `git rev-parse --short HEAD`, else `"unknown"`.
-pub fn git_rev() -> String {
-    if let Ok(rev) = std::env::var("BENCH_GIT_REV") {
-        let rev = rev.trim().to_string();
-        if !rev.is_empty() {
-            return rev;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 impl TrajectoryFile {
-    /// An empty trajectory for `suite`, stamped with [`git_rev`].
+    /// An empty trajectory for `suite`.
     pub fn new(suite: &str, emitter: &str, threads: u64) -> Self {
         TrajectoryFile {
             suite: suite.to_string(),
             emitter: emitter.to_string(),
-            git_rev: git_rev(),
             threads,
             benches: Vec::new(),
             deterministic: MetricsSnapshot::default(),
@@ -193,7 +169,6 @@ impl TrajectoryFile {
             ("schema_version", Json::UInt(SCHEMA_VERSION)),
             ("suite", Json::from(self.suite.clone())),
             ("emitter", Json::from(self.emitter.clone())),
-            ("git_rev", Json::from(self.git_rev.clone())),
             ("threads", Json::UInt(self.threads)),
             (
                 "benches",
@@ -239,7 +214,7 @@ pub fn validate(doc: &Json) -> Vec<SchemaError> {
         Some(v) => errors.push(format!("schema_version {v} != supported {SCHEMA_VERSION}")),
         None => errors.push("missing integer schema_version".to_string()),
     }
-    for key in ["suite", "emitter", "git_rev"] {
+    for key in ["suite", "emitter"] {
         if doc.get(key).and_then(Json::as_str).is_none() {
             errors.push(format!("missing string {key}"));
         }
@@ -331,7 +306,7 @@ pub const MAX_WALL_RATIO: f64 = 4.0;
 /// wall-clock series (unit `"ns"`) passes while its median stays within
 /// [`MAX_WALL_RATIO`] × the baseline's; every other series must equal the
 /// baseline sample for sample; and `metrics.deterministic` must equal the
-/// baseline's.  `git_rev`, `threads` and `metrics.timing` are not compared.
+/// baseline's.  `threads` and `metrics.timing` are not compared.
 pub fn compare(fresh: &Json, baseline: &Json) -> Vec<String> {
     let mut diffs = Vec::new();
     let (now, then) = (series(fresh), series(baseline));
@@ -437,7 +412,6 @@ mod tests {
 
     fn sample_file() -> TrajectoryFile {
         let mut f = TrajectoryFile::new("testsuite", "unit-test", 2);
-        f.git_rev = "deadbee".to_string(); // pin: no git dependence in tests
         f.push("alpha/one", "ns", vec![10.0, 30.0, 20.0]);
         f.push("beta/two", "bytes", vec![512.0]);
         f
@@ -510,9 +484,8 @@ mod tests {
     }
 
     #[test]
-    fn compare_passes_when_only_wall_git_rev_and_timing_differ() {
+    fn compare_passes_when_only_wall_and_timing_differ() {
         let mut fresh = baseline();
-        fresh.git_rev = "c0ffee0".to_string();
         // Median 20 → 80: exactly the allowed ratio.
         fresh.benches[0].samples = vec![80.0, 5.0, 800.0];
         fresh
@@ -619,7 +592,6 @@ mod tests {
         for needle in [
             "schema_version 9",
             "missing string emitter",
-            "missing string git_rev",
             "missing integer threads",
             "missing string name",
             "non-numeric sample",
@@ -641,7 +613,7 @@ mod tests {
         let path = f.write_under(&dir).expect("write");
         assert!(path.ends_with("BENCH_testsuite.json"));
         let doc = load(&path).expect("valid file");
-        assert_eq!(doc.get("git_rev").and_then(Json::as_str), Some("deadbee"));
+        assert_eq!(doc.get("emitter").and_then(Json::as_str), Some("unit-test"));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }

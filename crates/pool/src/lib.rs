@@ -77,41 +77,6 @@ fn record_fanout(len: usize, ranges: &[Range<usize>]) {
     }
 }
 
-/// How a protocol run executes: the worker-thread budget.
-///
-/// This is the execution half of `RunOptions` in `secmed-core`; it is
-/// defined here so the crypto and DAS layers can accept a policy without
-/// depending on the protocol crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecPolicy {
-    threads: usize,
-}
-
-impl ExecPolicy {
-    /// Single-threaded execution (the default).
-    pub fn sequential() -> Self {
-        ExecPolicy { threads: 1 }
-    }
-
-    /// Up to `threads` workers; `0` is treated as `1`.
-    pub fn threads(threads: usize) -> Self {
-        ExecPolicy {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The worker budget (always at least 1).
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy::sequential()
-    }
-}
-
 /// A fork-join executor with a fixed worker budget.
 ///
 /// Creating a `Pool` allocates nothing and spawns nothing: scoped worker
@@ -122,21 +87,16 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A pool following `policy`.
-    pub fn new(policy: ExecPolicy) -> Self {
-        Pool {
-            threads: policy.thread_count(),
-        }
-    }
-
     /// A single-threaded pool: every `par_*` call runs sequentially.
     pub fn sequential() -> Self {
-        Pool::new(ExecPolicy::sequential())
+        Pool::with_threads(1)
     }
 
-    /// A pool with up to `threads` workers.
+    /// A pool with up to `threads` workers; `0` is treated as `1`.
     pub fn with_threads(threads: usize) -> Self {
-        Pool::new(ExecPolicy::threads(threads))
+        Pool {
+            threads: threads.max(1),
+        }
     }
 
     /// The worker budget.
@@ -460,9 +420,8 @@ mod tests {
     }
 
     #[test]
-    fn policy_clamps_zero_to_sequential() {
-        assert_eq!(ExecPolicy::threads(0).thread_count(), 1);
-        assert_eq!(Pool::new(ExecPolicy::threads(0)).threads(), 1);
-        assert_eq!(ExecPolicy::default(), ExecPolicy::sequential());
+    fn zero_threads_clamp_to_sequential() {
+        assert_eq!(Pool::with_threads(0).threads(), 1);
+        assert_eq!(Pool::sequential().threads(), 1);
     }
 }

@@ -67,11 +67,6 @@ impl Predicate {
         Predicate::Eq(Operand::col(col), Operand::lit(v))
     }
 
-    /// `column_a = column_b`.
-    pub fn eq_cols(a: impl Into<String>, b: impl Into<String>) -> Self {
-        Predicate::Eq(Operand::col(a), Operand::col(b))
-    }
-
     /// `self AND other`, simplifying around the constants.
     pub fn and(self, other: Predicate) -> Predicate {
         match (self, other) {

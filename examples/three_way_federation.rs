@@ -5,12 +5,11 @@
 //! three delivery protocols by §6 cost — but only among the protocols the
 //! client's leakage budget admits.  Running the same query under an open
 //! budget and under a tightened one produces two *different* plans; both
-//! execute over the mediator hierarchy and print their unified reports,
+//! execute over the mediator hierarchy and print their plan reports,
 //! including the per-node predicted-vs-observed primitive cross-check.
 //!
 //! Run with: `cargo run --release --example three_way_federation`
 
-use secmed::core::observe::unified_plan_report;
 use secmed::core::plan::{exposure, LeakageBudget, PlanRunOptions, SourceSpec};
 use secmed::core::{AccessPolicy, CertificationAuthority, Client, Engine, Property, ProtocolKind};
 use secmed::crypto::drbg::HmacDrbg;
@@ -127,12 +126,12 @@ fn main() {
     for (label, plan) in [("open budget", &open), ("tightened budget", &flipped)] {
         let exec = Engine::run_plan(&ca, client, sources(), plan, &PlanRunOptions::default())
             .expect("plan executes");
-        println!("=== execution under the {label} ===");
-        println!("{}", unified_plan_report(plan, &exec).render_table());
         println!(
-            "final result ({} tuples):\n{}",
-            exec.result.len(),
-            exec.result
+            "=== execution under the {label}: {} tables, {} nodes ===",
+            plan.tables.len(),
+            plan.nodes.len()
         );
+        println!("{}", exec.render_table());
+        println!("final result:\n{}", exec.result);
     }
 }

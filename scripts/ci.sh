@@ -33,6 +33,14 @@ fi
 cargo test -q --offline --workspace
 echo "tests: every workspace test target passed"
 
+# The programs that render reports run once each: every example ends in
+# assertions no test target runs, and `trace_report` writes target/obs.
+for example in examples/*.rs; do
+  cargo run -q --release --offline --example "$(basename "$example" .rs)" >/dev/null
+done
+cargo run -q --release --offline -p secmed-bench --bin trace_report >/dev/null
+echo "programs: every example and trace_report ran"
+
 # The BENCH_*.json gate: re-emit all six trajectories and compare each
 # with its committed baseline (deterministic series and metrics exactly,
 # wall-clock medians within 4.0x; a file without a partner fails).

@@ -15,9 +15,9 @@
 //! * [`plan`] — the cost- and leakage-aware query planner over the three
 //!   protocols,
 //! * [`pool`] — the deterministic fork-join thread pool behind
-//!   [`core::ExecPolicy`],
-//! * [`obs`] — structured tracing, unified run reports, and the bench
-//!   harness.
+//!   [`core::RunOptions::threads`],
+//! * [`obs`] — structured tracing, span profiles, the metrics registry,
+//!   and the bench harness.
 //!
 //! See `README.md` for a guided tour and `examples/quickstart.rs` for a
 //! complete end-to-end run.
