@@ -5,10 +5,13 @@
 //!   the Montgomery context every cryptosystem leans on,
 //! * fixed-base tables vs the Montgomery ladder — justifies the `g` table
 //!   every group caches and the recipient table DAS sources build,
+//! * one joint exponentiation over nine bases — the per-point cost of a
+//!   degree-8 PM evaluation, which shares one run of squarings between
+//!   the nine factors,
 //! * Karatsuba/schoolbook multiplication across operand sizes — justifies
 //!   the threshold in `mpint::mul`.
 
-use mpint::{FixedBase, Montgomery, Natural};
+use mpint::{FixedBase, Montgomery, MultiBase, Natural};
 use secmed_crypto::drbg::HmacDrbg;
 use secmed_obs::bench::{black_box, cli_filter, Bench, Suite};
 
@@ -43,6 +46,21 @@ fn bench_modpow(filter: &Option<String>) {
             black_box(base.modpow_plain(&exp, &m));
         });
     }
+    // A degree-8 PM point: nine coefficient ciphertexts modulo a 1024-bit
+    // n^2, exponents r·a^k mod n below the 512-bit n.  The tables are built
+    // once, outside the timed loop, as a polynomial builds them once for
+    // all its points.
+    let m = random_odd(1024, &mut rng);
+    let bases: Vec<Natural> = (0..9)
+        .map(|_| mpint::random::random_below(&mut rng, &m))
+        .collect();
+    let exps: Vec<Natural> = (0..9)
+        .map(|_| mpint::random::random_bits(&mut rng, 512))
+        .collect();
+    let tables = MultiBase::new(&Montgomery::new(m), &bases);
+    suite.bench(Bench::new("multi-pow/9x1024"), || {
+        black_box(tables.pow(&exps, 512).expect("one exponent per base"));
+    });
     suite.finish();
 }
 

@@ -122,7 +122,10 @@ pub struct CommutativeConfig {
 pub enum PmEval {
     /// Power-sum evaluation.
     Naive,
-    /// Horner's rule (Freedman's efficiency note).
+    /// Horner's rule (Freedman's efficiency note) as the census counts it:
+    /// one scale and one add per coefficient, plus the mask.  Each point is
+    /// computed as one joint exponentiation
+    /// (`EncryptedPoly::eval_masked`), as is each bucketed point.
     #[default]
     Horner,
     /// Freedman's hash-bucket allocation with this many buckets.

@@ -49,7 +49,7 @@ const VALUE_TAG_LEN: usize = 16;
 
 /// The encrypted polynomial a source ships: flat or bucketed.
 enum ShippedPoly {
-    Flat(EncryptedPoly),
+    Flat(Box<EncryptedPoly>),
     Bucketed(EncryptedBucketedPoly),
 }
 
@@ -81,7 +81,7 @@ impl ShippedPoly {
             EncryptedPoly::from_ciphertexts(cts, pk)
         };
         match coeffs {
-            PolyCoeffs::Flat(elements) => Ok(ShippedPoly::Flat(rebuild(elements)?)),
+            PolyCoeffs::Flat(elements) => Ok(ShippedPoly::Flat(Box::new(rebuild(elements)?))),
             PolyCoeffs::Bucketed(buckets) => {
                 let polys = buckets
                     .into_iter()
@@ -324,14 +324,19 @@ pub(crate) fn deliver<F: Fabric>(
     };
     drop(transfer);
 
-    // Step 8: the client rebuilds the ciphertexts it was delivered, then
-    // decrypts everything and matches value tags.
+    // Step 8: the client rebuilds the ciphertexts it was delivered,
+    // decrypts both sides' evaluations on the pool (decryption draws no
+    // randomness), then matches value tags in order.
     let mut post = secmed_obs::span("pm.post");
-    let client_pk = sc.client.paillier().public().clone();
-    let (client_evals1, client_table1) = unpack_payload_set(left, &client_pk)?;
-    let (client_evals2, client_table2) = unpack_payload_set(right, &client_pk)?;
-    let parsed1 = parse_side(&client_evals1, sc)?;
-    let parsed2 = parse_side(&client_evals2, sc)?;
+    let client = sc.client.paillier();
+    let (mut client_evals, client_table1) = unpack_payload_set(left, client.public())?;
+    let (client_evals2, client_table2) = unpack_payload_set(right, client.public())?;
+    let left_len = client_evals.len();
+    client_evals.extend(client_evals2);
+    let plaintexts = pool.par_map(&client_evals, |_, ct| client.decrypt(ct));
+    let (plaintexts1, plaintexts2) = plaintexts.split_at(left_len);
+    let parsed1 = parse_side(plaintexts1);
+    let parsed2 = parse_side(plaintexts2);
     let useful = parsed1.len() + parsed2.len();
 
     let mut tuple_set_pairs: Vec<(Vec<Tuple>, Vec<Tuple>)> = Vec::new();
@@ -393,7 +398,9 @@ fn build_poly(
         }
         PmEval::Naive | PmEval::Horner => {
             let zp = ZnPoly::from_roots(&roots, pk.n());
-            ShippedPoly::Flat(EncryptedPoly::encrypt_par(&zp, pk, pool, &streams))
+            ShippedPoly::Flat(Box::new(EncryptedPoly::encrypt_par(
+                &zp, pk, pool, &streams,
+            )))
         }
     }
 }
@@ -455,16 +462,11 @@ fn evaluate_side(
         }
         let payload = Natural::from_bytes_be(&payload_bytes);
         let masked = match opposite_poly {
-            // The evaluation strategy only changes how E(P(a)) is computed;
-            // `Naive` uses the power sum, everything else Horner's rule.
-            ShippedPoly::Flat(p) => {
-                let p_at_a = if naive {
-                    p.eval_naive(&root)
-                } else {
-                    p.eval_horner(&root)
-                };
-                p.mask(&p_at_a, &payload, &mut rng)?
-            }
+            // The evaluation strategy only changes how E(r * P(a)) is
+            // computed: `Naive` masks the power sum, everything else takes
+            // the joint exponentiation of `eval_masked`.
+            ShippedPoly::Flat(p) if naive => p.mask(&p.eval_naive(&root), &payload, &mut rng)?,
+            ShippedPoly::Flat(p) => p.eval_masked(&root, &payload, &mut rng)?,
             ShippedPoly::Bucketed(bp) => bp.eval_masked(&root, &payload, &mut rng)?,
         };
         Ok::<_, MedError>((masked, session))
@@ -482,17 +484,13 @@ fn evaluate_side(
     Ok((evals, table))
 }
 
-/// Client step 8a: decrypt and parse one side's evaluations.  Returns
+/// Client step 8a: parse one side's decrypted evaluations.  Returns
 /// tag → payload for every value that decrypts to well-formed protocol
 /// data (values outside the intersection decrypt to random garbage and are
 /// dropped here).
-fn parse_side(
-    evals: &[PaillierCiphertext],
-    sc: &mut Scenario,
-) -> Result<BTreeMap<[u8; VALUE_TAG_LEN], Payload>, MedError> {
+fn parse_side(plaintexts: &[Natural]) -> BTreeMap<[u8; VALUE_TAG_LEN], Payload> {
     let mut out = BTreeMap::new();
-    for ct in evals {
-        let m = sc.client.paillier().decrypt(ct);
+    for m in plaintexts {
         let bytes = m.to_bytes_be();
         if let Some(p) = parse_payload(&bytes) {
             // parse_payload verified the length; a short slice means
@@ -503,7 +501,7 @@ fn parse_side(
             out.insert(tag, p);
         }
     }
-    Ok(out)
+    out
 }
 
 /// Strict payload parsing — any structural mismatch means "not in the

@@ -15,10 +15,17 @@
 //! * [`BucketedPoly`] — Freedman's hash-bucket allocation: split the roots
 //!   into `B` buckets so each evaluation only touches a degree-`~n/B`
 //!   polynomial, padding every bucket to equal degree so loads leak nothing.
+//!
+//! The masked evaluation the protocol ships, [`EncryptedPoly::eval_masked`],
+//! folds the evaluation and the mask into one joint exponentiation
+//! `Π E(c_k)^(r·a^k mod n)` over per-polynomial window tables
+//! ([`MultiBase`]), counted as Horner's rule plus [`EncryptedPoly::mask`].
+
+use std::sync::OnceLock;
 
 use mpint::random::random_below;
 use mpint::rng::Rng;
-use mpint::Natural;
+use mpint::{MultiBase, Natural};
 use secmed_pool::Pool;
 
 use crate::drbg::DrbgFamily;
@@ -98,9 +105,21 @@ impl ZnPoly {
 pub struct EncryptedPoly {
     coeffs: Vec<PaillierCiphertext>,
     pk: PaillierPublicKey,
+    /// The coefficients' window tables modulo `n^2`, built by the first
+    /// [`EncryptedPoly::eval_masked`] and shared by every later point,
+    /// whichever pool worker evaluates it.
+    tables: OnceLock<MultiBase>,
 }
 
 impl EncryptedPoly {
+    fn new(coeffs: Vec<PaillierCiphertext>, pk: &PaillierPublicKey) -> Self {
+        EncryptedPoly {
+            coeffs,
+            pk: pk.clone(),
+            tables: OnceLock::new(),
+        }
+    }
+
     /// Encrypts every coefficient of `poly` under `pk`.
     ///
     /// # Panics
@@ -118,10 +137,7 @@ impl EncryptedPoly {
             .iter()
             .map(|c| pk.encrypt_reduced(c, rng))
             .collect();
-        EncryptedPoly {
-            coeffs,
-            pk: pk.clone(),
-        }
+        EncryptedPoly::new(coeffs, pk)
     }
 
     /// Parallel coefficient encryption: coefficient `k` is encrypted on
@@ -142,10 +158,7 @@ impl EncryptedPoly {
             let mut rng = streams.stream(k as u64);
             pk.encrypt_reduced(c, &mut rng)
         });
-        EncryptedPoly {
-            coeffs,
-            pk: pk.clone(),
-        }
+        EncryptedPoly::new(coeffs, pk)
     }
 
     /// Number of transported ciphertexts (leaks the degree — exactly the
@@ -172,10 +185,7 @@ impl EncryptedPoly {
         if coeffs.is_empty() {
             return Err(CryptoError::Malformed("empty encrypted polynomial"));
         }
-        Ok(EncryptedPoly {
-            coeffs,
-            pk: pk.clone(),
-        })
+        Ok(EncryptedPoly::new(coeffs, pk))
     }
 
     /// `E(P(a))` by the naive power sum: computes `a^k mod n` for every
@@ -214,14 +224,50 @@ impl EncryptedPoly {
     /// The sender step of private matching: `E(r * P(a) + payload)` for a
     /// fresh random `r` — decrypts to `payload` iff `a` is a root of `P`,
     /// and to a uniformly random-looking value otherwise.
+    ///
+    /// One joint exponentiation computes `Π E(c_k)^(r·a^k mod n)` over the
+    /// coefficients' window tables, then one product adds the payload.
+    /// Its operation sequence is fixed by the width of `n` and the degree.
+    /// `r` is drawn where [`EncryptedPoly::mask`] draws it, and the census
+    /// counts what [`EncryptedPoly::eval_horner`] followed by `mask`
+    /// counts, so `r`, the plaintext and the counts equal that pair's.  The
+    /// ciphertext does not: Horner raises `E(c_k)` to the unreduced `a^k`,
+    /// and only the secret `λ` could reduce those exponents.
     pub fn eval_masked(
         &self,
         a: &Natural,
         payload: &Natural,
         rng: &mut dyn Rng,
     ) -> Result<PaillierCiphertext, CryptoError> {
-        let p_at_a = self.eval_horner(a);
-        self.mask(&p_at_a, payload, rng)
+        let n = self.pk.n();
+        if payload >= n {
+            return Err(CryptoError::MessageTooLarge);
+        }
+        count(Op::RandomMask);
+        let r = nonzero_below(n, rng);
+        let a = a.rem(n);
+        // Exponent k is r·a^k mod n; each factor is one Horner scale and
+        // one add, the add of the constant term being the payload's.
+        let mut exps = Vec::with_capacity(self.coeffs.len());
+        let mut e = r;
+        for k in 0..self.coeffs.len() {
+            count(Op::PaillierScale);
+            if k > 0 {
+                count(Op::PaillierAdd);
+                e = e.modmul(&a, n);
+            }
+            exps.push(e.clone());
+        }
+        let tables = self.tables.get_or_init(|| {
+            MultiBase::new(
+                self.pk.mont_n2(),
+                self.coeffs.iter().map(PaillierCiphertext::element),
+            )
+        });
+        let joint = tables
+            .pow(&exps, n.bit_len())
+            .map_err(|_| CryptoError::Malformed("one exponent per coefficient"))?;
+        Ok(self.pk.add_plain(&PaillierCiphertext(joint), payload))
     }
 
     /// Masks an already-computed `E(P(a))` with a fresh random factor and
@@ -351,10 +397,7 @@ impl EncryptedBucketedPoly {
                     pk.encrypt_reduced(c, &mut rng)
                 })
                 .collect();
-            EncryptedPoly {
-                coeffs,
-                pk: pk.clone(),
-            }
+            EncryptedPoly::new(coeffs, pk)
         });
         EncryptedBucketedPoly { buckets }
     }
@@ -489,6 +532,135 @@ mod tests {
         // Off a root: result is a random-looking value != payload (whp).
         let off_root = enc.eval_masked(&n(12), &payload, &mut rng).unwrap();
         assert_ne!(kp.decrypt(&off_root), payload);
+    }
+
+    #[test]
+    fn joint_masked_eval_decrypts_to_the_horner_mask_plaintext() {
+        let (kp, mut rng) = setup();
+        let nmod = kp.public().n().clone();
+        let roots: Vec<Natural> = (0..9).map(|i| n(i * 97 + 5)).collect();
+        let poly = ZnPoly::from_roots(&roots, &nmod);
+        let bp = BucketedPoly::from_roots(&roots, &nmod, 3);
+        let flat = EncryptedPoly::encrypt(&poly, kp.public(), &mut rng);
+        let bucketed = EncryptedBucketedPoly::encrypt(&bp, kp.public(), &mut rng);
+        let payload = n(0xfeed);
+        // Roots, non-roots, zero and a point shaped like the protocol's
+        // roots (a SHA-256 digest).
+        let wide = Natural::from_bytes_be(&sha256(b"join value")).rem(&nmod);
+        for (i, a) in [n(5), n(102), n(6), n(0), wide].iter().enumerate() {
+            let label = format!("mask-draw/{i}");
+            // r as `mask` draws it, from an identically seeded DRBG.
+            let r = nonzero_below(&nmod, &mut HmacDrbg::from_label(&label));
+            let bucket = &bucketed.buckets()[bucket_of(a, bucketed.num_buckets())];
+            let (mut flat_rng, mut bucketed_rng) =
+                (HmacDrbg::from_label(&label), HmacDrbg::from_label(&label));
+            let evaluations = [
+                (
+                    &flat,
+                    flat.eval_masked(a, &payload, &mut flat_rng),
+                    flat_rng,
+                    poly.eval(a),
+                ),
+                (
+                    bucket,
+                    bucketed.eval_masked(a, &payload, &mut bucketed_rng),
+                    bucketed_rng,
+                    bp.eval(a),
+                ),
+            ];
+            for (enc, joint, mut joint_rng, p_at_a) in evaluations {
+                let want = r.modmul(&p_at_a, &nmod).modadd(&payload, &nmod);
+                let mut horner_rng = HmacDrbg::from_label(&label);
+                let horner = enc.mask(&enc.eval_horner(a), &payload, &mut horner_rng);
+                assert_eq!(kp.decrypt(&horner.unwrap()), want, "horner at {a}");
+                assert_eq!(kp.decrypt(&joint.unwrap()), want, "joint at {a}");
+                // Both paths leave the DRBG at the same position.
+                assert_eq!(joint_rng.next_u64(), horner_rng.next_u64(), "at {a}");
+            }
+        }
+    }
+
+    #[test]
+    fn joint_masked_eval_counts_as_horner_plus_mask() {
+        use crate::metrics::{census, registry_counters};
+        fn census_of(f: impl FnOnce()) -> Vec<(Op, u64)> {
+            let run = secmed_obs::run::open(false, registry_counters());
+            f();
+            census(run.census())
+        }
+        let (kp, mut rng) = setup();
+        let nmod = kp.public().n().clone();
+        let payload = n(99);
+        for degree in [0u64, 1, 6] {
+            let roots: Vec<Natural> = (0..degree).map(|i| n(i * 13 + 2)).collect();
+            let enc =
+                EncryptedPoly::encrypt(&ZnPoly::from_roots(&roots, &nmod), kp.public(), &mut rng);
+            let a = n(1234);
+            let joint = census_of(|| {
+                let masked = enc.eval_masked(&a, &payload, &mut HmacDrbg::from_label("census"));
+                assert!(masked.is_ok());
+            });
+            let horner = census_of(|| {
+                let mut drbg = HmacDrbg::from_label("census");
+                let masked = enc.mask(&enc.eval_horner(&a), &payload, &mut drbg);
+                assert!(masked.is_ok());
+            });
+            assert_eq!(joint, horner, "degree {degree}");
+            let of = |op| joint.iter().find(|&&(o, _)| o == op).map_or(0, |&(_, c)| c);
+            assert_eq!(
+                [
+                    of(Op::PaillierScale),
+                    of(Op::PaillierAdd),
+                    of(Op::RandomMask)
+                ],
+                [degree + 1, degree + 1, 1],
+                "degree {degree}"
+            );
+        }
+    }
+
+    #[test]
+    fn joint_masked_evals_are_identical_at_any_thread_count() {
+        use crate::drbg::DrbgFamily;
+        use secmed_pool::Pool;
+        let (kp, mut rng) = setup();
+        let pk = kp.public();
+        let roots: Vec<Natural> = (0..8).map(|i| n(i * 31 + 5)).collect();
+        let flat = EncryptedPoly::encrypt(&ZnPoly::from_roots(&roots, pk.n()), pk, &mut rng);
+        let bucketed = EncryptedBucketedPoly::encrypt(
+            &BucketedPoly::from_roots(&roots, pk.n(), 2),
+            pk,
+            &mut rng,
+        );
+        // Roots and their successors.
+        let points: Vec<Natural> = (0..12).map(|i| n(i / 2 * 31 + 5 + i % 2)).collect();
+        let payload = n(7);
+        let fresh = |p: &EncryptedPoly| {
+            EncryptedPoly::from_ciphertexts(p.ciphertexts().to_vec(), pk).unwrap()
+        };
+        let evals = |flat: &EncryptedPoly, bucketed: &EncryptedBucketedPoly, threads| {
+            let fam = DrbgFamily::derive(&mut HmacDrbg::from_label("joint-par"));
+            Pool::with_threads(threads).par_map(&points, |i, a| {
+                let flat_eval = flat.eval_masked(a, &payload, &mut fam.stream(2 * i as u64));
+                let bucketed_eval =
+                    bucketed.eval_masked(a, &payload, &mut fam.stream(2 * i as u64 + 1));
+                (flat_eval.unwrap(), bucketed_eval.unwrap())
+            })
+        };
+        // Every run starts without tables, so the pool worker that
+        // reaches a polynomial first builds them.
+        let unbuilt = |threads| {
+            let buckets = bucketed.buckets().iter().map(fresh).collect();
+            let bucketed = EncryptedBucketedPoly::from_buckets(buckets).unwrap();
+            evals(&fresh(&flat), &bucketed, threads)
+        };
+        let sequential = unbuilt(1);
+        assert_eq!(sequential, unbuilt(2));
+        assert_eq!(sequential, unbuilt(8));
+        // Nor does it matter that the calling thread built the tables: the
+        // 8-thread run reuses the ones the sequential run left behind.
+        assert_eq!(sequential, evals(&flat, &bucketed, 1));
+        assert_eq!(sequential, evals(&flat, &bucketed, 8));
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! performs a `modpow`/`pow`/`pow_g` without any census bump silently
 //! under-counts the very quantity the paper's evaluation reports.
 //!
+//! The entry points are every exponentiation `mpint` exposes: `modpow`
+//! and `modpow_fixed` on a Montgomery context, `pow` on a fixed-base or
+//! multi-base table, and the group wrappers `pow`/`pow_g`.
+//!
 //! A function containing a direct exponentiation is covered when any of:
 //!
-//! * it *is* the primitive wrapper itself (`pow`, `pow_g`, `modpow`),
+//! * it *is* the primitive wrapper itself (`pow`, `pow_g`, `modpow`,
+//!   `modpow_fixed`),
 //! * its body calls `count(..)` (the census bump),
 //! * its name is on the keygen/setup exempt list — one-time operations
 //!   the per-run census deliberately excludes, or
@@ -23,7 +28,7 @@ use crate::ast::{walk_exprs, Expr};
 use crate::engine::{Finding, Rule, WorkspaceView};
 
 /// Direct modular-exponentiation entry points.
-const PRIMITIVE_FAMILY: &[&str] = &["modpow", "pow", "pow_g"];
+const PRIMITIVE_FAMILY: &[&str] = &["modpow", "modpow_fixed", "pow", "pow_g"];
 
 /// Keygen/setup functions: one-time, outside the per-run census by
 /// design (the census counts per-protocol-run work, Table 2 style).
@@ -84,7 +89,7 @@ impl Rule for CensusCoverage {
     }
 }
 
-/// Line of the first direct `modpow`/`pow`/`pow_g` call in the body.
+/// Line of the first direct call into [`PRIMITIVE_FAMILY`] in the body.
 fn first_primitive_call(node: &crate::callgraph::FnNode<'_>) -> Option<u32> {
     let mut found = None;
     walk_exprs(&node.item.body, &mut |e| {
@@ -179,6 +184,19 @@ mod tests {
         let out = check(src);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("`mystery`"));
+    }
+
+    #[test]
+    fn uncounted_fixed_shape_and_joint_exponentiations_are_flagged() {
+        let src = "\
+fn fixed(ctx: &Montgomery, b: &N, e: &N) -> N { ctx.modpow_fixed(b, e, 512) }
+fn joint(t: &MultiBase, exps: &[N]) -> Result<N, E> { t.pow(exps, 512) }
+fn counted(t: &MultiBase, exps: &[N]) -> Result<N, E> { count(Op::PaillierScale); t.pow(exps, 512) }
+";
+        let out = check(src);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out[0].message.contains("`fixed`"), "{out:?}");
+        assert!(out[1].message.contains("`joint`"), "{out:?}");
     }
 
     #[test]

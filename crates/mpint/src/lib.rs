@@ -12,7 +12,8 @@
 //!   Algorithm D division,
 //! * [`Int`] — a signed wrapper used by the extended Euclidean algorithm,
 //! * modular arithmetic ([`modular`]) including Montgomery-form windowed
-//!   exponentiation and fixed-base tables,
+//!   exponentiation, fixed-base tables and joint multi-base
+//!   exponentiation,
 //! * number theory ([`numtheory`]): gcd, extended gcd, modular inverse,
 //!   Jacobi symbol,
 //! * probabilistic prime and safe-prime generation ([`prime`]),
@@ -49,7 +50,7 @@ pub mod random;
 pub mod rng;
 
 pub use int::{Int, Sign};
-pub use modular::{FixedBase, Montgomery};
+pub use modular::{FixedBase, Montgomery, MultiBase};
 pub use natural::Natural;
 
 /// Error type for fallible conversions and parsing.
@@ -65,6 +66,9 @@ pub enum Error {
     DivisionByZero,
     /// No modular inverse exists (operand not coprime to the modulus).
     NotInvertible,
+    /// Two operand lists that pair up element by element differ in length
+    /// (the bases and exponents of a joint exponentiation).
+    LengthMismatch,
 }
 
 impl std::fmt::Display for Error {
@@ -75,6 +79,7 @@ impl std::fmt::Display for Error {
             Error::Underflow => write!(f, "subtraction underflowed a Natural"),
             Error::DivisionByZero => write!(f, "division by zero"),
             Error::NotInvertible => write!(f, "operand has no modular inverse"),
+            Error::LengthMismatch => write!(f, "paired operand lists differ in length"),
         }
     }
 }

@@ -377,6 +377,65 @@ fn montgomery_product_and_exponentiations_match_plain_at_every_width() {
 }
 
 #[test]
+fn joint_exponentiation_matches_plain_at_every_width() {
+    use mpint::random::{random_below, random_bits};
+    use mpint::{Montgomery, MultiBase};
+    cases(
+        2,
+        "joint_exponentiation_matches_plain_at_every_width",
+        |g| {
+            for limbs in 1..=16 {
+                for shape in 0..3 {
+                    let m = odd_modulus(g, limbs, shape);
+                    let ctx = Montgomery::new(m.clone());
+                    let width = m.bit_len();
+                    let bases = [
+                        Natural::zero(),
+                        Natural::one(),
+                        &m + &random_bits(g.rng(), width + 8),
+                        random_below(g.rng(), &m),
+                    ];
+                    // Exponents: 0, 1, all ones across the width, one wider
+                    // than the width, and a random one.
+                    let exps = [
+                        Natural::zero(),
+                        Natural::one(),
+                        Natural::one().shl_bits(width) - Natural::one(),
+                        Natural::one().shl_bits(width) + random_bits(g.rng(), 64),
+                        random_bits(g.rng(), width),
+                    ];
+                    let plain: Vec<Vec<Natural>> = bases
+                        .iter()
+                        .map(|b| exps.iter().map(|e| b.modpow_plain(e, &m)).collect())
+                        .collect();
+                    // Factor i of rotation r pairs base (r + i) mod 4 with
+                    // exponent (r + i) mod 5: the 20 rotations of one factor
+                    // reach every pairing, and nine factors reach every base
+                    // and every exponent at once.
+                    for count in [1usize, 2, 9] {
+                        let rotations = if count == 9 { 4 } else { 20 };
+                        for r in 0..rotations {
+                            let pick = |i: usize| ((r + i) % bases.len(), (r + i) % exps.len());
+                            let factors: Vec<(usize, usize)> = (0..count).map(pick).collect();
+                            let tables =
+                                MultiBase::new(&ctx, factors.iter().map(|&(b, _)| &bases[b]));
+                            let exponents: Vec<Natural> =
+                                factors.iter().map(|&(_, e)| exps[e].clone()).collect();
+                            let want =
+                                factors.iter().fold(Natural::one().rem(&m), |acc, &(b, e)| {
+                                    acc.modmul(&plain[b][e], &m)
+                                });
+                            let got = tables.pow(&exponents, width);
+                            assert_eq!(got, Ok(want), "m={m} factors={factors:?}");
+                        }
+                    }
+                }
+            }
+        },
+    );
+}
+
+#[test]
 fn gen_prime_output_is_pinned() {
     // Candidates and Miller–Rabin bases both come from the generator, so
     // this output moves if the small-prime screen, any Montgomery result
