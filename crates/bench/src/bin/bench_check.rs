@@ -2,11 +2,11 @@
 //!
 //! Run from the repository root, without arguments.  Pairs every fresh
 //! `target/bench/BENCH_<suite>.json` with the committed baseline of the
-//! same name at the root, validates both against schema version 1 and
-//! holds the fresh file to [`trajectory::compare`]: the same series and
-//! units, deterministic series and metrics exactly, wall-clock medians
-//! within [`trajectory::MAX_WALL_RATIO`] × the baseline's.  A file on
-//! either side without its partner fails.
+//! same name at the root, validates both against schema version 2 and
+//! holds the fresh file to [`trajectory::compare`]: the same series,
+//! units and sample counts, deterministic series and metrics counts
+//! exactly, wall-clock medians within [`trajectory::MAX_WALL_RATIO`] ×
+//! the baseline's.  A file on either side without its partner fails.
 //!
 //! Exit status 0 iff every file passes; each failure prints one line
 //! naming the file and the series or counter.

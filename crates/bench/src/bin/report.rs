@@ -137,8 +137,8 @@ fn main() {
         traj.push(&c.key, "ns", c.wall_ns);
         traj.push(&format!("{}/bytes", c.key), "bytes", vec![c.bytes as f64]);
     }
-    // The performance trajectory, with the process's metrics registry
-    // split into deterministic (portable) and timing (machine-local).
+    // The performance trajectory, with the process's registry counts
+    // after the first pass.
     traj.set_metrics(&snapshot);
     let bench_path = traj
         .write_under(Path::new("target/bench"))

@@ -270,9 +270,6 @@ impl Engine {
         );
         let kind = opts.protocol;
         let pool = Pool::with_threads(opts.threads);
-        // Timing class: the wall clock is read inside obs — this module
-        // never names `Instant`.
-        let _run_timer = secmed_obs::metrics::start_timer("engine.run_ns");
         let mut root = secmed_obs::span("run");
         root.field("protocol", kind.key());
         fabric.set_policy(opts.delivery);
@@ -329,7 +326,7 @@ impl Engine {
         // determinism fingerprint covers them at every thread count.
         let mut metrics = transport.run_metrics();
         metrics.push(("run.result_rows".to_string(), result.len() as u64));
-        publish(kind, &metrics, &transport);
+        publish(kind, &metrics);
         let primitives = secmed_crypto::metrics::census(run.census());
         for &(op, n) in &primitives {
             metrics.push((secmed_crypto::metrics::registry_name(op), n));
@@ -373,21 +370,12 @@ impl Engine {
 }
 
 /// Adds a finished run's account to the process registry, once: the run
-/// itself to `engine.runs.<key>`, every count, and every recorded frame's
-/// size to the `transport.frame_bytes` histogram.  The account holds no
+/// itself to `engine.runs.<key>`, then every count.  The account holds no
 /// census; the run scope publishes that when it closes.
-fn publish(kind: ProtocolKind, account: &[(String, u64)], transport: &Transport) {
-    use secmed_obs::metrics::{histogram, incr, Class};
-    incr(
-        Class::Deterministic,
-        &format!("engine.runs.{}", kind.key()),
-        1,
-    );
+fn publish(kind: ProtocolKind, account: &[(String, u64)]) {
+    use secmed_obs::metrics::incr;
+    incr(&format!("engine.runs.{}", kind.key()), 1);
     for (name, n) in account {
-        incr(Class::Deterministic, name, *n);
-    }
-    let sizes = histogram(Class::Deterministic, "transport.frame_bytes");
-    for e in transport.log() {
-        sizes.observe(e.bytes() as u64);
+        incr(name, *n);
     }
 }

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 
 use secmed_crypto::drbg::HmacDrbg;
-use secmed_obs::metrics::{self, Class};
+use secmed_obs::metrics;
 use secmed_wire::{stream, Frame, ResumeStatus, SessionStatus, WIRE_VERSION};
 
 use super::{DeliveryPolicy, Fabric, OnExhausted, PartyId, Transport};
@@ -173,8 +173,8 @@ impl SocketFabric {
                         return Err(MedError::Busy(m));
                     }
                     reconnects_used += 1;
-                    metrics::incr(Class::Deterministic, M_BUSY_RETRIES, 1);
-                    metrics::incr(Class::Deterministic, M_RECONNECTS, 1);
+                    metrics::incr(M_BUSY_RETRIES, 1);
+                    metrics::incr(M_RECONNECTS, 1);
                     metrics::sleep_ns(reconnect.backoff_ns(session, reconnects_used));
                 }
                 Err(e) => return Err(e),
@@ -265,7 +265,7 @@ impl SocketFabric {
         }
         while self.reconnects_used < self.reconnect.max_reconnects {
             self.reconnects_used += 1;
-            metrics::incr(Class::Deterministic, M_RECONNECTS, 1);
+            metrics::incr(M_RECONNECTS, 1);
             metrics::sleep_ns(
                 self.reconnect
                     .backoff_ns(self.session, self.reconnects_used),
@@ -327,8 +327,8 @@ impl SocketFabric {
                         // re-parks and the next attempt starts clean.
                         continue;
                     }
-                    metrics::incr(Class::Deterministic, M_RESUMED, 1);
-                    metrics::incr(Class::Deterministic, M_REPLAYED, gap);
+                    metrics::incr(M_RESUMED, 1);
+                    metrics::incr(M_REPLAYED, gap);
                     self.socket = socket;
                     self.replayed = recovered;
                     return Ok(());

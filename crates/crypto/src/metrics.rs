@@ -9,12 +9,12 @@
 //! (`secmed_obs::run`): the engine opens one per run and the pool carries
 //! it into its workers, so a run's census holds exactly its own
 //! operations, whatever else the process runs meanwhile.  Outside any run
-//! a bump goes straight to the deterministic registry counter
-//! `crypto.<op-name>`, and a run adds its census to those counters once,
-//! when it closes.  The registry is therefore the one process-wide
-//! aggregate, and [`Snapshot`] reads it.
+//! a bump goes straight to the registry counter `crypto.<op-name>`, and a
+//! run adds its census to those counters once, when it closes.  The
+//! registry is therefore the one process-wide aggregate, and [`Snapshot`]
+//! reads it.
 
-use secmed_obs::metrics::{counter, Class, Counter};
+use secmed_obs::metrics::{counter, Counter};
 use std::sync::OnceLock;
 
 /// A countable cryptographic operation.
@@ -124,7 +124,7 @@ pub fn registry_name(op: Op) -> String {
 /// use: a run opened with these as its sinks publishes its census there.
 pub fn registry_counters() -> &'static [Counter; OP_COUNT] {
     static REGISTRY: OnceLock<[Counter; OP_COUNT]> = OnceLock::new();
-    REGISTRY.get_or_init(|| ALL_OPS.map(|op| counter(Class::Deterministic, &registry_name(op))))
+    REGISTRY.get_or_init(|| ALL_OPS.map(|op| counter(&registry_name(op))))
 }
 
 /// Counts one `op`: into the run installed on this thread, or straight

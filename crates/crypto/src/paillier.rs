@@ -146,6 +146,9 @@ impl PaillierKeyPair {
                 continue;
             }
             let n = &p * &q;
+            // lint:allow(secret-flow) -- keygen rejection sampling: n = p·q
+            // is the public modulus the key pair publishes, so branching on
+            // its width reveals nothing the public key does not.
             if n.bit_len() != n_bits {
                 continue;
             }

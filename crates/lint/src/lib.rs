@@ -27,18 +27,16 @@
 //! every locked dependency resolves by path.
 //!
 //! Violations render as `file:line: rule-id: message`; a machine-readable
-//! JSONL report goes to `target/obs/lint.jsonl`.  Audited escapes use
-//! `// lint:allow(rule-id) -- reason` (reason mandatory; unused or
-//! malformed suppressions are themselves findings under `lint-allow`).
-//! Accepted findings ratchet against the committed `lint-baseline.json`
-//! ([`baseline`]): new findings fail, stale entries fail, and
-//! `secmed-lint --bless-baseline` regenerates the file.
+//! JSONL report goes to `target/obs/lint.jsonl`.  The one way to accept a
+//! finding is an audited `// lint:allow(rule-id) -- reason` at its site
+//! (reason mandatory; unused or malformed suppressions are themselves
+//! findings under `lint-allow`), so the gate passes only with zero
+//! findings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod engine;
 pub mod lexer;
@@ -53,52 +51,10 @@ use std::path::Path;
 pub use engine::{Finding, Rule, RunOutcome};
 pub use source::SourceFile;
 
-/// The committed baseline file name, resolved against the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.json";
-
 /// Runs the default rule set over the workspace rooted at `root` with
 /// an explicit per-file thread count (`0` ⇒ pool default).  Output is
-/// identical at any thread count; the outcome is raw — baseline
-/// ratcheting is [`gate_workspace`].
+/// identical at any thread count.
 pub fn lint_workspace_with(root: &Path, threads: usize) -> io::Result<RunOutcome> {
     let sources = walk::collect(root)?;
     Ok(engine::run_with(&rules::default_rules(), &sources, threads))
-}
-
-/// A full CI-gate evaluation: the raw outcome plus the baseline ratchet.
-pub struct GateResult {
-    /// The raw engine outcome.
-    pub outcome: RunOutcome,
-    /// Findings split against `lint-baseline.json` (an absent file is an
-    /// empty baseline: every finding is new).
-    pub ratchet: baseline::Ratchet,
-}
-
-impl GateResult {
-    /// True when CI should pass: no new findings, no stale baseline
-    /// entries.
-    pub fn passing(&self) -> bool {
-        self.ratchet.clean()
-    }
-}
-
-/// Lints the workspace and ratchets against the committed baseline.
-pub fn gate_workspace(root: &Path, threads: usize) -> io::Result<GateResult> {
-    let outcome = lint_workspace_with(root, threads)?;
-    let base = load_baseline(root)?;
-    let ratchet = base.ratchet(&outcome.findings);
-    Ok(GateResult { outcome, ratchet })
-}
-
-/// Loads `lint-baseline.json` from `root`; a missing file is an empty
-/// baseline, a malformed one is an error (a silently-ignored baseline
-/// would un-ratchet CI).
-pub fn load_baseline(root: &Path) -> io::Result<baseline::Baseline> {
-    let path = root.join(BASELINE_FILE);
-    match std::fs::read_to_string(&path) {
-        Ok(text) => baseline::Baseline::parse(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(baseline::Baseline::default()),
-        Err(e) => Err(e),
-    }
 }

@@ -1,16 +1,10 @@
-//! The `secmed-lint` binary: scans the workspace, ratchets findings
-//! against the committed `lint-baseline.json`, prints violations as
+//! The `secmed-lint` binary: scans the workspace, prints violations as
 //! `file:line: rule-id: message`, writes `target/obs/lint.jsonl`, and
-//! exits non-zero (with a rule → count summary table) when the ratchet
-//! fails.
+//! exits non-zero (with a rule → count summary table) on any finding.
 //!
 //! ```text
-//! secmed-lint [ROOT] [--threads N] [--bless-baseline]
+//! secmed-lint [ROOT] [--threads N]
 //! ```
-//!
-//! `--bless-baseline` regenerates `lint-baseline.json` from the current
-//! findings — the diff of that file is the review surface for accepting
-//! or burning down findings.
 
 #![forbid(unsafe_code)]
 
@@ -19,8 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use secmed_lint::baseline::Baseline;
-use secmed_lint::{gate_workspace, BASELINE_FILE};
+use secmed_lint::lint_workspace_with;
 
 fn main() -> ExitCode {
     let args = match Args::parse() {
@@ -38,55 +31,32 @@ fn main() -> ExitCode {
         }
     };
 
-    let gate = match gate_workspace(&root, args.threads) {
-        Ok(gate) => gate,
+    let outcome = match lint_workspace_with(&root, args.threads) {
+        Ok(outcome) => outcome,
         Err(err) => {
             eprintln!("secmed-lint: linting {} failed: {err}", root.display());
             return ExitCode::from(2);
         }
     };
 
-    write_report(&root, &gate.outcome);
+    write_report(&root, &outcome);
 
-    if args.bless_baseline {
-        let path = root.join(BASELINE_FILE);
-        let blessed = Baseline::bless(&gate.outcome.findings);
-        let count = blessed.entries.len();
-        if let Err(err) = fs::write(&path, blessed.render()) {
-            eprintln!("secmed-lint: writing {} failed: {err}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "secmed-lint: blessed {count} finding(s) into {} — review the diff before committing",
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    for finding in &gate.ratchet.new_findings {
+    for finding in &outcome.findings {
         println!("{}", finding.render());
     }
-    for entry in &gate.ratchet.stale {
-        println!(
-            "{}:{}: lint-baseline: stale entry for `{}` — the finding is gone, remove it from {}",
-            entry.file, entry.line, entry.rule, BASELINE_FILE
-        );
-    }
-    if gate.passing() {
+    if outcome.clean() {
         eprintln!(
-            "secmed-lint: {} files clean ({} audited suppressions in use, {} baselined)",
-            gate.outcome.files_scanned,
-            gate.outcome.suppressions_used.len(),
-            gate.ratchet.matched
+            "secmed-lint: {} files clean ({} audited suppressions in use)",
+            outcome.files_scanned,
+            outcome.suppressions_used.len()
         );
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "\nsecmed-lint: {} new violation(s), {} stale baseline entr(ies) in {} files\n\n{}",
-            gate.ratchet.new_findings.len(),
-            gate.ratchet.stale.len(),
-            gate.outcome.files_scanned,
-            gate.outcome.summary_table()
+            "\nsecmed-lint: {} violation(s) in {} files\n\n{}",
+            outcome.findings.len(),
+            outcome.files_scanned,
+            outcome.summary_table()
         );
         ExitCode::FAILURE
     }
@@ -110,7 +80,6 @@ fn write_report(root: &Path, outcome: &secmed_lint::RunOutcome) {
 struct Args {
     root: Option<PathBuf>,
     threads: usize,
-    bless_baseline: bool,
 }
 
 impl Args {
@@ -118,12 +87,10 @@ impl Args {
         let mut args = Args {
             root: None,
             threads: 0,
-            bless_baseline: false,
         };
         let mut it = env::args().skip(1);
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--bless-baseline" => args.bless_baseline = true,
                 "--threads" => {
                     let v = it.next().ok_or("--threads requires a value")?;
                     args.threads = v
@@ -131,9 +98,7 @@ impl Args {
                         .map_err(|_| format!("invalid --threads value `{v}`"))?;
                 }
                 _ if arg.starts_with("--") => {
-                    return Err(format!(
-                        "unknown flag `{arg}` (expected --threads N or --bless-baseline)"
-                    ));
+                    return Err(format!("unknown flag `{arg}` (expected --threads N)"));
                 }
                 _ if args.root.is_none() => args.root = Some(PathBuf::from(arg)),
                 _ => return Err(format!("unexpected extra argument `{arg}`")),

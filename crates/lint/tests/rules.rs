@@ -251,25 +251,6 @@ fn pool_crate_scoped_threading_is_clean() {
 }
 
 #[test]
-fn metrics_instrumentation_pattern_is_clean_in_drivers() {
-    let out = lint_at(
-        "crates/core/src/protocol/fixture.rs",
-        include_str!("fixtures/metrics_clock_good.rs"),
-    );
-    assert!(out.clean(), "{:#?}", out.findings);
-}
-
-#[test]
-fn direct_clock_reads_in_instrumented_drivers_still_fire() {
-    let out = lint_at(
-        "crates/core/src/protocol/fixture.rs",
-        include_str!("fixtures/metrics_clock_bad.rs"),
-    );
-    let lines: Vec<(u32, &str)> = out.findings.iter().map(|f| (f.line, f.rule)).collect();
-    assert_eq!(lines, vec![(12, "determinism")], "{:#?}", out.findings);
-}
-
-#[test]
 fn determinism_passes_inside_obs() {
     let out = lint_at(
         "crates/obs/src/fixture.rs",

@@ -1,10 +1,10 @@
-//! The shipped workspace must pass the baseline gate: this is the same
-//! scan `scripts/ci.sh` runs via `cargo run -p secmed-lint`, executed
+//! The shipped workspace must lint clean: this is the same scan
+//! `scripts/ci.sh` runs via `cargo run -p secmed-lint`, executed
 //! in-process so `cargo test` alone also guards the invariants.
 
 use std::path::Path;
 
-use secmed_lint::{gate_workspace, lint_workspace_with};
+use secmed_lint::lint_workspace_with;
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -14,29 +14,23 @@ fn workspace_root() -> &'static Path {
 }
 
 #[test]
-fn shipped_workspace_passes_the_baseline_gate() {
-    let gate = gate_workspace(workspace_root(), 0).expect("workspace walk succeeds");
+fn shipped_workspace_passes_the_lint_gate() {
+    let outcome = lint_workspace_with(workspace_root(), 0).expect("workspace walk succeeds");
+    assert!(outcome.files_scanned > 50, "walker found the workspace");
     assert!(
-        gate.outcome.files_scanned > 50,
-        "walker found the workspace"
-    );
-    assert!(
-        gate.passing(),
-        "the shipped workspace must pass the ratchet:\nnew findings:\n{}\nstale baseline entries: {:#?}",
-        gate.ratchet
-            .new_findings
+        outcome.clean(),
+        "the shipped workspace must have no findings:\n{}",
+        outcome
+            .findings
             .iter()
             .map(|f| f.render())
             .collect::<Vec<_>>()
-            .join("\n"),
-        gate.ratchet.stale
+            .join("\n")
     );
-    // Accepted debt is visible, not silent: every live finding is matched
-    // by a committed baseline entry.
-    assert_eq!(gate.ratchet.matched, gate.outcome.findings.len());
-    // Every suppression in the tree is in active use (unused ones would be
-    // findings) and carries its audit reason.
-    for (file, line, rules, reason) in &gate.outcome.suppressions_used {
+    // Every accepted finding is an audited suppression at its site: each
+    // one in the tree is in active use (unused ones would be findings)
+    // and carries its reason.
+    for (file, line, rules, reason) in &outcome.suppressions_used {
         assert!(!reason.is_empty(), "{file}:{line} ({rules}) lacks a reason");
     }
 }

@@ -11,10 +11,9 @@
 //!   inherited by its pool workers and published once when it closes,
 //! * [`bench`] — a micro-benchmark harness (warmup, batch calibration,
 //!   mean/median/stddev) used by every bench binary,
-//! * [`metrics`] — the process-global metrics registry: counters and log₂
-//!   histograms, split into a *deterministic* class (seed-pure, each
-//!   finished run's account published once) and a *timing* class
-//!   (wall-clock, exported separately),
+//! * [`metrics`] — the process-global metrics registry: named counters,
+//!   each a seed-pure count (every finished run's account is published
+//!   once); wall time is never a metric, it lives only in spans,
 //! * [`profile`] — span-profile aggregation, the one place a run's phase
 //!   wall-clock comes from: folds a trace into a self/total-time tree
 //!   with collapsed-stack (flamegraph) output,
@@ -33,7 +32,7 @@ pub mod trace;
 pub mod trajectory;
 
 pub use json::Json;
-pub use metrics::{Class, Counter, Hist, Histogram, MetricsSnapshot};
+pub use metrics::{Counter, MetricsSnapshot};
 pub use profile::{Profile, ProfileNode};
 pub use trace::{event, event_with, span, SpanGuard};
 pub use trajectory::TrajectoryFile;

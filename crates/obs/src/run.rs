@@ -129,11 +129,11 @@ impl Drop for Installed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{counter, Class};
+    use crate::metrics::counter;
 
     fn sinks(prefix: &str) -> &'static [Counter] {
         let names = [format!("{prefix}.a"), format!("{prefix}.b")];
-        Box::leak(Box::new(names.map(|n| counter(Class::Deterministic, &n))))
+        Box::leak(Box::new(names.map(|n| counter(&n))))
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Every bench binary emits one file per suite under `target/bench/`,
 //! named `BENCH_<suite>.json`; the committed file of the same name at the
 //! repo root is its baseline, and [`compare`] is the one rule
-//! `scripts/bench_check.sh` holds every fresh file to.  Schema (version 1):
+//! `scripts/bench_check.sh` holds every fresh file to.  Schema (version 2):
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
+//!   "schema_version": 2,
 //!   "suite": "core",
 //!   "emitter": "report",
 //!   "threads": 1,
@@ -16,24 +16,22 @@
 //!      "samples": [..],
 //!      "summary": {"mean": .., "median": .., "stddev": .., "min": .., "max": ..}}
 //!   ],
-//!   "metrics": {"deterministic": {..}, "timing": {..}}
+//!   "metrics": {"pool.calls": 52, "transport.frames": 120, ..}
 //! }
 //! ```
 //!
-//! `metrics` holds two [`crate::metrics::MetricsSnapshot`] JSON exports,
-//! keeping the deterministic counters (comparable across machines) apart
-//! from wall-clock data (comparable only against the same machine's
-//! history).
+//! `metrics` is the [`crate::metrics::MetricsSnapshot`] JSON export, one
+//! flat object of counts; the only wall-clock data are the `ns` series.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::json::{self, Json};
-use crate::metrics::{Class, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 
 /// Current schema version; bump when the layout changes incompatibly.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One named measurement series inside a trajectory file.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,10 +127,8 @@ pub struct TrajectoryFile {
     pub threads: u64,
     /// The measurement series.
     pub benches: Vec<TrajectoryEntry>,
-    /// Deterministic-class metrics snapshot (portable across machines).
-    pub deterministic: MetricsSnapshot,
-    /// Timing-class metrics snapshot (machine-local).
-    pub timing: MetricsSnapshot,
+    /// The registry's counts.
+    pub metrics: MetricsSnapshot,
 }
 
 impl TrajectoryFile {
@@ -143,8 +139,7 @@ impl TrajectoryFile {
             emitter: emitter.to_string(),
             threads,
             benches: Vec::new(),
-            deterministic: MetricsSnapshot::default(),
-            timing: MetricsSnapshot::default(),
+            metrics: MetricsSnapshot::default(),
         }
     }
 
@@ -157,10 +152,9 @@ impl TrajectoryFile {
         });
     }
 
-    /// Attaches a metrics snapshot, split by class.
+    /// Attaches a metrics snapshot.
     pub fn set_metrics(&mut self, snapshot: &MetricsSnapshot) {
-        self.deterministic = snapshot.only(Class::Deterministic);
-        self.timing = snapshot.only(Class::Timing);
+        self.metrics = snapshot.clone();
     }
 
     /// The whole file as JSON.
@@ -174,13 +168,7 @@ impl TrajectoryFile {
                 "benches",
                 Json::arr(self.benches.iter().map(TrajectoryEntry::to_json)),
             ),
-            (
-                "metrics",
-                Json::obj([
-                    ("deterministic", self.deterministic.to_json()),
-                    ("timing", self.timing.to_json()),
-                ]),
-            ),
+            ("metrics", self.metrics.to_json()),
         ])
     }
 
@@ -202,7 +190,7 @@ impl TrajectoryFile {
 /// A schema violation found by [`validate`].
 pub type SchemaError = String;
 
-/// Validates a parsed `BENCH_*.json` document against schema version 1.
+/// Validates a parsed `BENCH_*.json` document against schema version 2.
 /// Returns every violation (empty ⇒ valid).
 pub fn validate(doc: &Json) -> Vec<SchemaError> {
     let mut errors = Vec::new();
@@ -225,14 +213,16 @@ pub fn validate(doc: &Json) -> Vec<SchemaError> {
     match doc.get("benches").and_then(Json::as_array) {
         None => errors.push("missing array benches".to_string()),
         Some(benches) => {
+            let mut names = BTreeSet::new();
             for (i, b) in benches.iter().enumerate() {
-                let label = b
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("benches[{i}]"));
-                if b.get("name").and_then(Json::as_str).is_none() {
-                    errors.push(format!("{label}: missing string name"));
+                let name = b.get("name").and_then(Json::as_str);
+                let label = name.map_or_else(|| format!("benches[{i}]"), str::to_string);
+                match name {
+                    None => errors.push(format!("{label}: missing string name")),
+                    Some(name) if !names.insert(name) => {
+                        errors.push(format!("{label}: duplicate series name"));
+                    }
+                    Some(_) => {}
                 }
                 if b.get("unit").and_then(Json::as_str).is_none() {
                     errors.push(format!("{label}: missing string unit"));
@@ -264,18 +254,12 @@ pub fn validate(doc: &Json) -> Vec<SchemaError> {
     }
     match doc.get("metrics").and_then(Json::as_object) {
         None => errors.push("missing object metrics".to_string()),
-        Some(_) => {
-            for class in ["deterministic", "timing"] {
-                if doc
-                    .get("metrics")
-                    .and_then(|m| m.get(class))
-                    .and_then(Json::as_object)
-                    .is_none()
-                {
-                    errors.push(format!("metrics missing object {class}"));
-                }
-            }
-        }
+        Some(metrics) => errors.extend(
+            metrics
+                .iter()
+                .filter(|(_, v)| v.as_u64().is_none())
+                .map(|(name, _)| format!("metrics.{name}: not a count")),
+        ),
     }
     errors
 }
@@ -302,11 +286,11 @@ pub const MAX_WALL_RATIO: f64 = 4.0;
 /// [`validate`]d, and returns one line per difference, each naming the
 /// series or metric (empty ⇒ the fresh file passes).
 ///
-/// The files must carry the same series names with the same units.  A
-/// wall-clock series (unit `"ns"`) passes while its median stays within
+/// The files must carry the same series names with the same units and
+/// sample counts.  A wall-clock series (unit `"ns"`) passes while its median stays within
 /// [`MAX_WALL_RATIO`] × the baseline's; every other series must equal the
-/// baseline sample for sample; and `metrics.deterministic` must equal the
-/// baseline's.  `threads` and `metrics.timing` are not compared.
+/// baseline sample for sample; and `metrics` must equal the baseline's,
+/// count for count.  `threads` is not compared.
 pub fn compare(fresh: &Json, baseline: &Json) -> Vec<String> {
     let mut diffs = Vec::new();
     let (now, then) = (series(fresh), series(baseline));
@@ -318,13 +302,13 @@ pub fn compare(fresh: &Json, baseline: &Json) -> Vec<String> {
         };
         diffs.extend(diff.map(|d| format!("{name}: {d}")));
     }
-    let (now, then) = (deterministic(fresh), deterministic(baseline));
-    let shown = |v: Option<&&Json>| v.map_or("absent".to_string(), |v| v.render());
+    let (now, then) = (counts(fresh), counts(baseline));
+    let shown = |v: Option<&u64>| v.map_or("absent".to_string(), u64::to_string);
     for name in now.keys().chain(then.keys()).collect::<BTreeSet<_>>() {
         let (value, base) = (now.get(name), then.get(name));
         if value != base {
             diffs.push(format!(
-                "metrics.deterministic.{name}: {}, baseline {}",
+                "metrics.{name}: {}, baseline {}",
                 shown(value),
                 shown(base)
             ));
@@ -342,18 +326,18 @@ fn series_diff(
     if unit != base_unit {
         return Some(format!("unit {unit:?}, baseline {base_unit:?}"));
     }
-    if *unit == "ns" {
-        let (median, base) = (Summary::of(samples).median, Summary::of(base).median);
-        return (median > MAX_WALL_RATIO * base).then(|| {
-            format!("median {median:.0} ns exceeds baseline {base:.0} ns × {MAX_WALL_RATIO}")
-        });
-    }
     if samples.len() != base.len() {
         return Some(format!(
             "{} samples, baseline {}",
             samples.len(),
             base.len()
         ));
+    }
+    if *unit == "ns" {
+        let (median, base) = (Summary::of(samples).median, Summary::of(base).median);
+        return (median > MAX_WALL_RATIO * base).then(|| {
+            format!("median {median:.0} ns exceeds baseline {base:.0} ns × {MAX_WALL_RATIO}")
+        });
     }
     let i = (0..samples.len()).find(|&i| samples[i] != base[i])?;
     Some(format!(
@@ -381,28 +365,14 @@ fn series(doc: &Json) -> BTreeMap<&str, (&str, Vec<f64>)> {
         .collect()
 }
 
-/// The deterministic metrics of a trajectory document, one level deep:
-/// `"<section>.<name>"` (e.g. `"counters.pool.calls"`) → value.
-fn deterministic(doc: &Json) -> BTreeMap<String, &Json> {
-    let sections = doc
-        .get("metrics")
-        .and_then(|m| m.get("deterministic"))
+/// The metrics of a trajectory document: name → count.
+fn counts(doc: &Json) -> BTreeMap<&str, u64> {
+    doc.get("metrics")
         .and_then(Json::as_object)
-        .unwrap_or_default();
-    let mut flat = BTreeMap::new();
-    for (section, members) in sections {
-        match members.as_object() {
-            Some(members) => flat.extend(
-                members
-                    .iter()
-                    .map(|(name, v)| (format!("{section}.{name}"), v)),
-            ),
-            None => {
-                flat.insert(section.clone(), members);
-            }
-        }
-    }
-    flat
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|(name, v)| Some((name.as_str(), v.as_u64()?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -432,7 +402,7 @@ mod tests {
     #[test]
     fn emitted_file_round_trips_and_validates() {
         let mut f = sample_file();
-        metrics::counter(metrics::Class::Deterministic, "t.traj.frames").add(4);
+        metrics::counter("t.traj.frames").add(4);
         f.set_metrics(&metrics::snapshot());
         let doc = json::parse(&f.to_json().render_pretty()).expect("parse");
         assert_eq!(validate(&doc), Vec::<String>::new());
@@ -450,30 +420,15 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(20.0)
         );
-        assert!(deterministic(&doc)
-            .get("counters.t.traj.frames")
-            .and_then(|v| v.as_u64())
-            .map(|v| v >= 4)
-            .unwrap_or(false));
-        // Timing data never leaks into the deterministic section.
-        assert!(doc
-            .get("metrics")
-            .and_then(|m| m.get("timing"))
-            .and_then(Json::as_object)
-            .is_some());
+        assert!(counts(&doc).get("t.traj.frames").is_some_and(|&v| v >= 4));
     }
 
     /// A baseline with a wall series, a multi-sample deterministic
-    /// series and a counter in each metrics class.
+    /// series and a counter.
     fn baseline() -> TrajectoryFile {
         let mut f = sample_file();
         f.push("gamma/bytes", "bytes", vec![100.0, 200.0, 300.0]);
-        f.deterministic
-            .counters
-            .insert("pool.calls".into(), (Class::Deterministic, 48));
-        f.timing
-            .counters
-            .insert("engine.run_ns".into(), (Class::Timing, 1000));
+        f.metrics.counters.insert("pool.calls".into(), 48);
         f
     }
 
@@ -484,18 +439,10 @@ mod tests {
     }
 
     #[test]
-    fn compare_passes_when_only_wall_and_timing_differ() {
+    fn compare_passes_when_only_wall_samples_differ() {
         let mut fresh = baseline();
         // Median 20 → 80: exactly the allowed ratio.
         fresh.benches[0].samples = vec![80.0, 5.0, 800.0];
-        fresh
-            .timing
-            .counters
-            .insert("engine.run_ns".into(), (Class::Timing, 9_999));
-        fresh
-            .timing
-            .counters
-            .insert("t.traj.extra_ns".into(), (Class::Timing, 1));
         assert_eq!(diffs(&fresh, &baseline()), Vec::<String>::new());
     }
 
@@ -551,22 +498,26 @@ mod tests {
     }
 
     #[test]
-    fn compare_fails_on_a_changed_deterministic_counter() {
+    fn compare_fails_on_a_changed_counter() {
         let mut fresh = baseline();
-        fresh
-            .deterministic
-            .counters
-            .insert("pool.calls".into(), (Class::Deterministic, 44));
-        fresh
-            .deterministic
-            .counters
-            .insert("run.result_rows".into(), (Class::Deterministic, 2));
+        fresh.metrics.counters.insert("pool.calls".into(), 44);
+        fresh.metrics.counters.insert("run.result_rows".into(), 2);
         assert_eq!(
             diffs(&fresh, &baseline()),
             [
-                "metrics.deterministic.counters.pool.calls: 44, baseline 48",
-                "metrics.deterministic.counters.run.result_rows: 2, baseline absent",
+                "metrics.pool.calls: 44, baseline 48",
+                "metrics.run.result_rows: 2, baseline absent",
             ]
+        );
+    }
+
+    #[test]
+    fn compare_fails_on_a_wall_series_that_lost_samples_under_the_same_median() {
+        let mut fresh = baseline();
+        fresh.benches[0].samples = vec![20.0];
+        assert_eq!(
+            diffs(&fresh, &baseline()),
+            ["alpha/one: 1 samples, baseline 3"]
         );
     }
 
@@ -604,6 +555,30 @@ mod tests {
             validate(&Json::Null),
             vec!["document is not an object".to_string()]
         );
+    }
+
+    #[test]
+    fn validate_rejects_a_schema_1_file() {
+        let doc = json::parse(
+            r#"{"schema_version":1,"suite":"s","emitter":"e","threads":1,"benches":[],
+                "metrics":{"deterministic":{"counters":{"pool.calls":48}},"timing":{}}}"#,
+        )
+        .expect("parse");
+        assert_eq!(
+            validate(&doc),
+            [
+                "schema_version 1 != supported 2",
+                "metrics.deterministic: not a count",
+                "metrics.timing: not a count",
+            ]
+        );
+    }
+
+    #[test]
+    fn validate_rejects_two_series_with_one_name() {
+        let mut f = baseline();
+        f.push("beta/two", "bytes", vec![512.0]);
+        assert_eq!(validate(&f.to_json()), ["beta/two: duplicate series name"]);
     }
 
     #[test]

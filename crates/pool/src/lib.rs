@@ -35,46 +35,40 @@
 //! sockets, or channels — the repo lint enforces that scoped threads stay
 //! in here and wall-clock reads stay in `crates/obs`/`crates/bench`.
 //! Workers run in the caller's run scope (`secmed_obs::run`).  Every
-//! fan-out reports deterministic-class metrics (`pool.calls`,
-//! `pool.items`, `pool.chunks`, `pool.chunk_items`) to the
-//! `secmed_obs::metrics` registry; the counts depend only on workload
-//! size and thread budget, never on scheduling.
+//! fan-out adds to three counters (`pool.calls`, `pool.items`,
+//! `pool.chunks`) in the `secmed_obs::metrics` registry; the counts
+//! depend only on workload size and thread budget, never on scheduling.
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use secmed_obs::metrics::{self, Class, Counter, Histogram};
+use secmed_obs::metrics::{self, Counter};
 
-/// Deterministic-class pool instrumentation: how often the pool is
-/// entered, how many items it fans out, and the chunk-size distribution.
-/// Handles are interned once; the hot path pays one relaxed atomic add
-/// per field.  All values are pure functions of the workload and the
-/// thread budget, never of scheduling.
+/// Pool instrumentation: how often the pool is entered, how many items
+/// it fans out, and into how many chunks.  Handles are interned once;
+/// the hot path pays one relaxed atomic add per field.  All values are
+/// pure functions of the workload and the thread budget, never of
+/// scheduling.
 struct PoolMetrics {
     calls: Counter,
     items: Counter,
     chunks: Counter,
-    chunk_items: Histogram,
 }
 
 fn pool_metrics() -> &'static PoolMetrics {
     static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
     METRICS.get_or_init(|| PoolMetrics {
-        calls: metrics::counter(Class::Deterministic, "pool.calls"),
-        items: metrics::counter(Class::Deterministic, "pool.items"),
-        chunks: metrics::counter(Class::Deterministic, "pool.chunks"),
-        chunk_items: metrics::histogram(Class::Deterministic, "pool.chunk_items"),
+        calls: metrics::counter("pool.calls"),
+        items: metrics::counter("pool.items"),
+        chunks: metrics::counter("pool.chunks"),
     })
 }
 
-fn record_fanout(len: usize, ranges: &[Range<usize>]) {
+fn record_fanout(len: usize, chunks: usize) {
     let m = pool_metrics();
     m.calls.incr();
     m.items.add(len as u64);
-    m.chunks.add(ranges.len() as u64);
-    for r in ranges {
-        m.chunk_items.observe((r.end - r.start) as u64);
-    }
+    m.chunks.add(chunks as u64);
 }
 
 /// A fork-join executor with a fixed worker budget.
@@ -137,7 +131,7 @@ impl Pool {
         let run_range =
             |range: Range<usize>| -> Result<Vec<U>, E> { range.map(|i| f(i, &items[i])).collect() };
         let ranges = chunk_ranges(items.len(), self.threads);
-        record_fanout(items.len(), &ranges);
+        record_fanout(items.len(), ranges.len());
         if ranges.len() <= 1 {
             return run_range(0..items.len());
         }
@@ -184,7 +178,7 @@ impl Pool {
         F: Fn(usize, &[T]) -> Vec<U> + Sync,
     {
         let ranges = chunk_ranges(items.len(), self.threads);
-        record_fanout(items.len(), &ranges);
+        record_fanout(items.len(), ranges.len());
         if ranges.len() <= 1 {
             return f(0, items);
         }
@@ -383,9 +377,6 @@ mod tests {
         assert!(delta.counter("pool.calls") >= 2);
         assert!(delta.counter("pool.items") >= 80);
         assert!(delta.counter("pool.chunks") >= 8, "4 chunks per call");
-        let h = delta.histogram("pool.chunk_items").expect("chunk sizes");
-        assert!(h.count() >= 8);
-        assert!(h.max() >= 10, "40 items over 4 workers: 10 per chunk");
     }
 
     #[test]

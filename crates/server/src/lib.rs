@@ -80,7 +80,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use secmed_crypto::drbg::HmacDrbg;
-use secmed_obs::metrics::{self, Class, Clock, MonotonicClock};
+use secmed_obs::metrics::{self, Clock, MonotonicClock};
 use secmed_pool::Scope;
 use secmed_wire::stream::{BlobRead, BlobReader};
 use secmed_wire::{
@@ -472,7 +472,7 @@ impl Server {
                 }
             }
             drop(led);
-            metrics::incr(Class::Deterministic, M_REAPED, n as u64);
+            metrics::incr(M_REAPED, n as u64);
         }
         n
     }
@@ -602,7 +602,7 @@ impl Server {
         if client_version != WIRE_VERSION {
             let status = SessionStatus::VersionMismatch(WIRE_VERSION);
             self.refuse(&mut stream, session, status);
-            metrics::incr(Class::Deterministic, M_REFUSED, 1);
+            metrics::incr(M_REFUSED, 1);
             self.push_line(session, SessionOutcome::Rejected(status));
             return;
         }
@@ -623,11 +623,11 @@ impl Server {
         };
         if let Some(status) = refused {
             self.refuse(&mut stream, session, status);
-            metrics::incr(Class::Deterministic, M_REFUSED, 1);
+            metrics::incr(M_REFUSED, 1);
             self.push_line(session, SessionOutcome::Rejected(status));
             return;
         }
-        metrics::incr(Class::Deterministic, M_ADMITTED, 1);
+        metrics::incr(M_ADMITTED, 1);
         // From here on the table entry is owned by this connection and
         // must be reclaimed (or parked) on every exit path.
         let ack = Frame::HelloAck {
@@ -693,7 +693,7 @@ impl Server {
                     server_next_seq: 0,
                 };
                 let _ = stream::write_blob(&mut stream, &nack.encode_with_session(session));
-                metrics::incr(Class::Deterministic, M_REFUSED, 1);
+                metrics::incr(M_REFUSED, 1);
                 self.push_line(session, SessionOutcome::ResumeRejected(status));
                 return;
             }
@@ -729,7 +729,7 @@ impl Server {
                 match replay_err {
                     Some(e) => RelayEnd::Park(format!("resume replay failed: {e}")),
                     None => {
-                        metrics::incr(Class::Deterministic, M_RESUMED, 1);
+                        metrics::incr(M_RESUMED, 1);
                         self.relay(&mut stream, session, &mut summary, &mut state)
                     }
                 }
@@ -816,7 +816,7 @@ impl Server {
                     let idle = self.config.idle_deadline_ns;
                     if idle > 0 && self.config.clock.now_ns().saturating_sub(last_activity) >= idle
                     {
-                        metrics::incr(Class::Deterministic, M_REAPED, 1);
+                        metrics::incr(M_REAPED, 1);
                         return RelayEnd::Done(SessionOutcome::Aborted(
                             "idle deadline exceeded".into(),
                         ));

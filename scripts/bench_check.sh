@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # BENCH_*.json regression gate: re-emits every trajectory the bench bins
 # write and holds each to the committed baseline of the same name at the
-# repo root -- the same series with the same units, deterministic series
-# sample for sample and metrics.deterministic exactly, wall-clock medians
-# within 4.0x.  A fresh file without a baseline, or a baseline without a
-# fresh file, fails.
+# repo root -- the same series with the same units and sample counts,
+# deterministic series sample for sample and the metrics counts exactly,
+# wall-clock medians within 4.0x.  A fresh file without a baseline, or a
+# baseline without a fresh file, fails.
 #
 #   scripts/bench_check.sh
 #
